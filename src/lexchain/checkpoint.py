@@ -1,7 +1,9 @@
 """Versioned checkpoint container: a zip of named arrays plus a manifest.
 
 Archive entries use fixed timestamps and stored (uncompressed) payloads so
-that identical models serialize to identical bytes.
+that identical models serialize to identical bytes.  Format 2 stores each
+attention block's weights with the head on the leading axis; format-1
+archives, which hold one array per head, are stacked on load.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ import numpy as np
 
 from .encoder import EmbeddingTable
 from .errors import ValidationError
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, stack_heads
 from .tensor import Tensor
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _EPOCH = (1980, 1, 1, 0, 0, 0)
 
 
@@ -59,10 +61,9 @@ def load_checkpoint(path: str | Path) -> tuple[Model, dict]:
         manifest = json.loads(zf.read("manifest.json").decode("utf-8"))
         if manifest.get("kind") != "lexchain-checkpoint":
             raise ValidationError(f"{path} is not a model checkpoint")
-        if manifest.get("format_version") != FORMAT_VERSION:
-            raise ValidationError(
-                f"unsupported checkpoint format {manifest.get('format_version')!r}"
-            )
+        version = manifest.get("format_version")
+        if type(version) is not int or version not in (1, FORMAT_VERSION):
+            raise ValidationError(f"unsupported checkpoint format {version!r}")
         cfg = ModelConfig(**manifest["config"])
         params: dict[str, Tensor] = {}
         for spec in manifest["params"]:
@@ -73,6 +74,8 @@ def load_checkpoint(path: str | Path) -> tuple[Model, dict]:
                     f"manifest says {spec['shape']}"
                 )
             params[spec["name"]] = Tensor(arr, requires_grad=True, name=spec["name"])
+    if version == 1:
+        stack_heads(params, cfg)
     vocab = {tok: i for i, tok in enumerate(manifest["vocab"])}
     table = EmbeddingTable(vocab, params["embed"])
     model = Model(cfg, table, manifest["charges"], params)

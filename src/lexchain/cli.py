@@ -30,7 +30,7 @@ from .chains import (
 from .client import CompletionClient
 from .corpus import load_jsonl, save_jsonl, split, synthesize_corpus
 from .checkpoint import load_checkpoint
-from .errors import LexchainError, UsageError
+from .errors import ConfigurationError, LexchainError, UsageError
 from .metrics import evaluate_outputs, screen_corpus
 from .model import decode_case
 from .training import TrainConfig, gradcheck_full_pipeline, train
@@ -78,11 +78,18 @@ def _read_opinions(path: str) -> dict[str, str]:
     return opinions
 
 
-def _chain_map(args, charges):
-    if getattr(args, "no_chains", False):
-        return {c: None for c in charges}
-    library = load_chain_library(args.chains)
+def _chain_map(chains_dir: str, charges: list[str]) -> dict:
+    library = load_chain_library(chains_dir)
+    missing = [c for c in charges if c not in library]
+    if missing:
+        raise ConfigurationError(f"no chain sets for charges: {missing}")
     return {c: library[c] for c in charges}
+
+
+def _trained_with_chains(extra: dict) -> bool:
+    """False only when the checkpoint records a chain-free training run."""
+    train_config = extra.get("train_config")
+    return not (isinstance(train_config, dict) and train_config.get("use_chains") is False)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +184,8 @@ def cmd_generate(args) -> int:
     model, extra = load_checkpoint(args.checkpoint)
     records = load_jsonl(args.corpus)
     charges = sorted({r.charge for r in records})
-    chain_map = _chain_map(args, charges)
+    use_chains = not args.no_chains and _trained_with_chains(extra)
+    chain_map = _chain_map(args.chains, charges) if use_chains else dict.fromkeys(charges)
     lines = []
     for rec in records:
         output = decode_case(model, rec, chain_map[rec.charge],
@@ -191,7 +199,7 @@ def cmd_generate(args) -> int:
             "checkpoint": args.checkpoint,
             "mode": args.mode,
             "out": args.out,
-            "use_chains": not args.no_chains,
+            "use_chains": use_chains,
         }
         sys.stdout.write(_dump(summary))
     return 0
@@ -316,7 +324,9 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--chains", default=str(default_chains_dir()))
-    p.add_argument("--no-chains", action="store_true")
+    p.add_argument("--no-chains", action="store_true",
+                   help="decode from the fact alone (always so for a checkpoint "
+                        "trained without chains)")
     p.add_argument("--mode", choices=("greedy", "top-k"), default="greedy")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-len", type=int, default=96)

@@ -98,28 +98,31 @@ class EncodedChainSet:
         return self.e_chain.shape[0]
 
 
-def _attention_over_components(h: Tensor, params: Mapping[str, Tensor], heads: int,
-                               dropout_rate: float, rng: np.random.Generator | None):
-    """Multi-head self-attention over the 3 component rows; returns (A, w)."""
+def attention(h: Tensor, params: Mapping[str, Tensor], prefix: str, heads: int,
+              mask: Tensor | None = None) -> tuple[Tensor, Tensor]:
+    """Multi-head self-attention over the rows of ``h``, every head at once.
+
+    The weights under ``prefix`` carry the head on their leading axis:
+    ``Wq``/``Wk``/``Wv`` are (heads, d, dh) and ``Wo`` is (heads, dh, d).
+    ``mask`` is added to the scores of every head.  Returns the summed head
+    outputs (rows x d) and the (heads, rows, rows) attention probabilities.
+    """
     d = h.shape[1]
     if d % heads != 0:
         raise ShapeError(f"head count {heads} must divide model dimension {d}")
-    scale = 1.0 / np.sqrt(d // heads)
-    out = None
-    per_head = []
-    for i in range(heads):
-        q = T.matmul(h, params[f"enc.attn.{i}.Wq"])
-        k = T.matmul(h, params[f"enc.attn.{i}.Wk"])
-        v = T.matmul(h, params[f"enc.attn.{i}.Wv"])
-        scores = T.matmul(q, T.transpose(k)) * scale
-        attn = T.softmax_rows(scores)
-        per_head.append(attn.data.copy())
-        proj = T.matmul(T.matmul(attn, v), params[f"enc.attn.{i}.Wo"])
-        out = proj if out is None else out + proj
-    if dropout_rate:
-        out = T.dropout(out, dropout_rate, rng)
-    w = np.mean(per_head, axis=0)
-    return out, w
+    dh = d // heads
+    wq = params[f"{prefix}.Wq"]
+    if wq.shape != (heads, d, dh):
+        raise ShapeError(f"{prefix}.Wq has shape {wq.shape}, expected {(heads, d, dh)}")
+    q = T.matmul(h, wq)
+    k = T.matmul(h, params[f"{prefix}.Wk"])
+    v = T.matmul(h, params[f"{prefix}.Wv"])
+    scores = T.matmul(q, T.transpose(k)) * (1.0 / np.sqrt(dh))
+    if mask is not None:
+        scores = scores + mask
+    probs = T.softmax_rows(scores)
+    out = T.tsum(T.matmul(T.matmul(probs, v), params[f"{prefix}.Wo"]), axis=0)
+    return out, probs
 
 
 def encode_chain(chain: LegalChain, table: EmbeddingTable, params: Mapping[str, Tensor],
@@ -134,10 +137,11 @@ def encode_chain(chain: LegalChain, table: EmbeddingTable, params: Mapping[str, 
     e_s = embed_component(chain.situation_text, table)
     e_c = embed_component(chain.conclusion_text(), table)
     h = T.concat([e_p, e_s, e_c], axis=0)
-    attn_out, w = _attention_over_components(h, params, heads, dropout_rate, rng)
-    residual = h + attn_out
-    r = T.tmean(residual, axis=0, keepdims=True)
-    return r, w
+    attn_out, probs = attention(h, params, "enc.attn", heads)
+    if dropout_rate:
+        attn_out = T.dropout(attn_out, dropout_rate, rng)
+    r = T.tmean(h + attn_out, axis=0, keepdims=True)
+    return r, probs.data.mean(axis=0)
 
 
 def ensure_charge(params: MutableMapping[str, Tensor], charge: str, d: int,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .chains import ChainSet
-from .encoder import (EmbeddingTable, EncodedChainSet, encode_chain_set)
+from .encoder import EmbeddingTable, EncodedChainSet, attention, encode_chain_set
 from .errors import (CapacityError, ContractError, ShapeError, ValidationError)
 from .metrics import extract_sentence_months, find_sentencing_char_span
 from .tensor import Tensor
@@ -69,7 +69,9 @@ def build_model(vocab: dict[str, int], charges: Sequence[str], cfg: ModelConfig,
     """Create all parameters in a fixed order from one seeded stream.
 
     Projection weights are uniform in (-1/sqrt(d), 1/sqrt(d)); biases start at
-    zero; layer-norm gains at one.
+    zero; layer-norm gains at one.  Attention weights are drawn head by head
+    in the layout of checkpoint format 1 and then stacked by
+    :func:`stack_heads`, so the initial weights do not depend on the layout.
     """
     rng = np.random.default_rng(seed)
     d = cfg.d
@@ -88,12 +90,8 @@ def build_model(vocab: dict[str, int], charges: Sequence[str], cfg: ModelConfig,
     V = len(vocab)
     uniform("embed", (V, d))
     uniform("pos", (cfg.context, d))
-    dh = d // cfg.enc_heads
-    for i in range(cfg.enc_heads):
-        uniform(f"enc.attn.{i}.Wq", (d, dh))
-        uniform(f"enc.attn.{i}.Wk", (d, dh))
-        uniform(f"enc.attn.{i}.Wv", (d, dh))
-        uniform(f"enc.attn.{i}.Wo", (dh, d))
+    for _, name, shape in _format1_heads("enc.attn", cfg.enc_heads, d):
+        uniform(name, shape)
     uniform("enc.G1.W", (d, d))
     zeros("enc.G1.b", (d,))
     uniform("enc.G2.W", (d, d))
@@ -105,15 +103,11 @@ def build_model(vocab: dict[str, int], charges: Sequence[str], cfg: ModelConfig,
     for charge in sorted(charges):
         uniform(f"enc.charge.{charge}.W", (d, d))
         zeros(f"enc.charge.{charge}.b", (d,))
-    dh2 = d // cfg.dec_heads
     for layer in range(cfg.layers):
         ones(f"dec.{layer}.ln1.g", (d,))
         zeros(f"dec.{layer}.ln1.b", (d,))
-        for i in range(cfg.dec_heads):
-            uniform(f"dec.{layer}.attn.{i}.Wq", (d, dh2))
-            uniform(f"dec.{layer}.attn.{i}.Wk", (d, dh2))
-            uniform(f"dec.{layer}.attn.{i}.Wv", (d, dh2))
-            uniform(f"dec.{layer}.attn.{i}.Wo", (dh2, d))
+        for _, name, shape in _format1_heads(f"dec.{layer}.attn", cfg.dec_heads, d):
+            uniform(name, shape)
         ones(f"dec.{layer}.ln2.g", (d,))
         zeros(f"dec.{layer}.ln2.b", (d,))
         uniform(f"dec.{layer}.ffn.W1", (d, 4 * d))
@@ -124,8 +118,38 @@ def build_model(vocab: dict[str, int], charges: Sequence[str], cfg: ModelConfig,
     zeros("dec.lnf.b", (d,))
     uniform("dec.out.W", (d, V))
     zeros("dec.out.b", (V,))
+    stack_heads(params, cfg)
     table = EmbeddingTable(vocab, params["embed"])
     return Model(cfg, table, sorted(charges), params)
+
+
+def _format1_heads(block: str, heads: int, d: int) -> list[tuple[str, str, tuple[int, int]]]:
+    """Checkpoint-format-1 weights of one attention block, in the order
+    :func:`build_model` draws them: (stacked name, per-head name, shape)."""
+    dh = d // heads
+    shapes = {"Wq": (d, dh), "Wk": (d, dh), "Wv": (d, dh), "Wo": (dh, d)}
+    return [(f"{block}.{w}", f"{block}.{i}.{w}", shapes[w])
+            for i in range(heads) for w in ("Wq", "Wk", "Wv", "Wo")]
+
+
+def stack_heads(params: MutableMapping[str, Tensor], cfg: ModelConfig) -> None:
+    """Replace every attention block's format-1 per-head weights
+    ``{block}.{i}.W*`` by one ``{block}.W*`` with the head on the leading axis.
+
+    Raises ValidationError when a head's weight is missing or misshapen.
+    """
+    blocks = [("enc.attn", cfg.enc_heads)]
+    blocks += [(f"dec.{layer}.attn", cfg.dec_heads) for layer in range(cfg.layers)]
+    for block, heads in blocks:
+        stacked: dict[str, list[np.ndarray]] = {}
+        for name, head_name, shape in _format1_heads(block, heads, cfg.d):
+            t = params.pop(head_name, None)
+            if t is None or t.shape != shape:
+                raise ValidationError(f"format-1 weight {head_name!r} is missing "
+                                      f"or not of shape {shape}")
+            stacked.setdefault(name, []).append(t.data)
+        for name, arrays in stacked.items():
+            params[name] = Tensor(np.stack(arrays), requires_grad=True, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +205,10 @@ def decoder_forward(x: Tensor, params: Mapping[str, Tensor], cfg: ModelConfig) -
     rows = x.shape[0]
     if rows > cfg.context:
         raise CapacityError(f"sequence of {rows} rows exceeds context {cfg.context}")
-    dh = cfg.d // cfg.dec_heads
-    scale = 1.0 / np.sqrt(dh)
     mask = Tensor(_causal_mask(rows))
     for layer in range(cfg.layers):
         h = layer_norm(x, params[f"dec.{layer}.ln1.g"], params[f"dec.{layer}.ln1.b"])
-        attn_out = None
-        for i in range(cfg.dec_heads):
-            q = T.matmul(h, params[f"dec.{layer}.attn.{i}.Wq"])
-            k = T.matmul(h, params[f"dec.{layer}.attn.{i}.Wk"])
-            v = T.matmul(h, params[f"dec.{layer}.attn.{i}.Wv"])
-            scores = T.matmul(q, T.transpose(k)) * scale + mask
-            head = T.matmul(T.softmax_rows(scores), v)
-            proj = T.matmul(head, params[f"dec.{layer}.attn.{i}.Wo"])
-            attn_out = proj if attn_out is None else attn_out + proj
+        attn_out, _ = attention(h, params, f"dec.{layer}.attn", cfg.dec_heads, mask)
         x = x + attn_out
         h2 = layer_norm(x, params[f"dec.{layer}.ln2.g"], params[f"dec.{layer}.ln2.b"])
         inner = T.relu(T.matmul(h2, params[f"dec.{layer}.ffn.W1"]) + params[f"dec.{layer}.ffn.b1"])
@@ -312,38 +326,12 @@ def _np_layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-
     return (x - mu) / np.sqrt(var + eps) * g + b
 
 
-def np_decoder_forward(x: np.ndarray, data: Mapping[str, np.ndarray], cfg: ModelConfig) -> np.ndarray:
-    """Plain-numpy replica of :func:`decoder_forward` (no tape, no gradients)."""
-    rows = x.shape[0]
-    dh = cfg.d // cfg.dec_heads
-    scale = 1.0 / np.sqrt(dh)
-    mask = _causal_mask(rows)
-    for layer in range(cfg.layers):
-        h = _np_layer_norm(x, data[f"dec.{layer}.ln1.g"], data[f"dec.{layer}.ln1.b"])
-        attn_out = np.zeros_like(x)
-        for i in range(cfg.dec_heads):
-            q = h @ data[f"dec.{layer}.attn.{i}.Wq"]
-            k = h @ data[f"dec.{layer}.attn.{i}.Wk"]
-            v = h @ data[f"dec.{layer}.attn.{i}.Wv"]
-            scores = q @ k.T * scale + mask
-            z = scores - scores.max(axis=1, keepdims=True)
-            probs = np.exp(z)
-            probs /= probs.sum(axis=1, keepdims=True)
-            attn_out += (probs @ v) @ data[f"dec.{layer}.attn.{i}.Wo"]
-        x = x + attn_out
-        h2 = _np_layer_norm(x, data[f"dec.{layer}.ln2.g"], data[f"dec.{layer}.ln2.b"])
-        inner = np.maximum(h2 @ data[f"dec.{layer}.ffn.W1"] + data[f"dec.{layer}.ffn.b1"], 0.0)
-        x = x + inner @ data[f"dec.{layer}.ffn.W2"] + data[f"dec.{layer}.ffn.b2"]
-    x = _np_layer_norm(x, data["dec.lnf.g"], data["dec.lnf.b"])
-    return x @ data["dec.out.W"] + data["dec.out.b"]
-
-
 class _BlockCache:
     __slots__ = ("k", "v", "used")
 
     def __init__(self, context: int, heads: int, dh: int):
-        self.k = [np.empty((context, dh)) for _ in range(heads)]
-        self.v = [np.empty((context, dh)) for _ in range(heads)]
+        self.k = np.empty((heads, context, dh))
+        self.v = np.empty((heads, context, dh))
         self.used = 0
 
 
@@ -360,23 +348,19 @@ def _step_or_prefill(x: np.ndarray, data: Mapping[str, np.ndarray], cfg: ModelCo
     for layer in range(cfg.layers):
         cache = caches[layer]
         start = cache.used
+        end = start + rows
         h = _np_layer_norm(x, data[f"dec.{layer}.ln1.g"], data[f"dec.{layer}.ln1.b"])
-        attn_out = np.zeros_like(x)
-        for i in range(cfg.dec_heads):
-            q = h @ data[f"dec.{layer}.attn.{i}.Wq"]
-            cache.k[i][start:start + rows] = h @ data[f"dec.{layer}.attn.{i}.Wk"]
-            cache.v[i][start:start + rows] = h @ data[f"dec.{layer}.attn.{i}.Wv"]
-            k_all = cache.k[i][:start + rows]
-            v_all = cache.v[i][:start + rows]
-            scores = q @ k_all.T * scale
-            if rows > 1:
-                scores = scores + np.triu(np.full((rows, start + rows), MASK_VALUE), k=start + 1)
-            z = scores - scores.max(axis=1, keepdims=True)
-            probs = np.exp(z)
-            probs /= probs.sum(axis=1, keepdims=True)
-            attn_out += (probs @ v_all) @ data[f"dec.{layer}.attn.{i}.Wo"]
-        x = x + attn_out
-        cache.used = start + rows
+        q = h @ data[f"dec.{layer}.attn.Wq"]
+        cache.k[:, start:end] = h @ data[f"dec.{layer}.attn.Wk"]
+        cache.v[:, start:end] = h @ data[f"dec.{layer}.attn.Wv"]
+        scores = q @ np.swapaxes(cache.k[:, :end], 1, 2) * scale
+        if rows > 1:
+            scores = scores + np.triu(np.full((rows, end), MASK_VALUE), k=start + 1)
+        z = scores - scores.max(axis=2, keepdims=True)
+        probs = np.exp(z)
+        probs /= probs.sum(axis=2, keepdims=True)
+        x = x + ((probs @ cache.v[:, :end]) @ data[f"dec.{layer}.attn.Wo"]).sum(axis=0)
+        cache.used = end
         h2 = _np_layer_norm(x, data[f"dec.{layer}.ln2.g"], data[f"dec.{layer}.ln2.b"])
         inner = np.maximum(h2 @ data[f"dec.{layer}.ffn.W1"] + data[f"dec.{layer}.ffn.b1"], 0.0)
         x = x + inner @ data[f"dec.{layer}.ffn.W2"] + data[f"dec.{layer}.ffn.b2"]
@@ -435,10 +419,15 @@ def generate(model: Model, combined: Tensor, n_chain_rows: int, max_len: int = 9
 
 def decode_case(model: Model, record, chain_set: ChainSet | None, max_len: int = 96,
                 mode: str = "greedy", seed: int = 0) -> OpinionOutput:
-    """Encode (optionally), combine with the case fact, and generate."""
+    """Encode (optionally), combine with the case fact, and generate.
+
+    Decoding never adds parameters: a charge the model has no weights for
+    raises ConfigurationError.
+    """
     encoded = None
     if chain_set is not None:
-        encoded = encode_chain_set(chain_set, model.table, model.params, model.cfg.enc_heads)
+        encoded = encode_chain_set(chain_set, model.table, model.params, model.cfg.enc_heads,
+                                   auto_register=False)
     combined = combine(encoded, record.fact, model.table)
     n = encoded.n if encoded is not None else 0
     return generate(model, combined, n, max_len=max_len, mode=mode, seed=seed)

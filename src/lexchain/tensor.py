@@ -13,7 +13,7 @@ so ``x @ W`` applies a linear map.  Kernels never mutate their inputs.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -243,21 +243,31 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul shapes do not conform: {a.data.shape} x {b.data.shape}")
-    out = Tensor(a.data @ b.data)
+    """Matrix product over the last two axes.
+
+    Either operand may carry a leading head axis (2-D x 3-D, 3-D x 2-D or
+    3-D x 3-D with equal head counts); the 2-D operand is shared by every head
+    and its gradient is summed over the heads.
+    """
+    ad, bd = a.data, b.data
+    if (not 2 <= ad.ndim <= 3 or not 2 <= bd.ndim <= 3 or ad.shape[-1] != bd.shape[-2]
+            or (ad.ndim == bd.ndim == 3 and ad.shape[0] != bd.shape[0])):
+        raise ShapeError(f"matmul shapes do not conform: {ad.shape} x {bd.shape}")
+    out = Tensor(ad @ bd)
 
     def bw(g):
-        return g @ b.data.T, a.data.T @ g
+        return (_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape),
+                _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
 
     return _record(out, (a, b), bw)
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {a.data.shape}")
-    out = Tensor(a.data.T)
-    return _record(out, (a,), lambda g: (g.T,))
+    """Swap the last two axes."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose needs at least two axes, got shape {a.data.shape}")
+    out = Tensor(np.swapaxes(a.data, -1, -2))
+    return _record(out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -275,16 +285,16 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax of a matrix, stabilized by row-max subtraction."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a matrix, got shape {a.data.shape}")
-    z = a.data - a.data.max(axis=1, keepdims=True)
+    """Softmax over the last axis, stabilized by max subtraction."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"softmax_rows needs at least two axes, got shape {a.data.shape}")
+    z = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(s)
 
     def bw(g):
-        return (s * (g - (g * s).sum(axis=1, keepdims=True)),)
+        return (s * (g - (g * s).sum(axis=-1, keepdims=True)),)
 
     return _record(out, (a,), bw)
 
@@ -339,16 +349,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=axis))
 
     return _record(out, tuple(parts), bw)
-
-
-def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
-    """Stack 1xd row tensors into an n x d matrix."""
-    return concat(list(vectors), axis=0)
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(a.data.reshape(shape))
-    return _record(out, (a,), lambda g: (g.reshape(a.data.shape),))
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
@@ -437,10 +437,3 @@ def grad_check(
             if err > worst:
                 worst = err
     return worst
-
-
-def global_norm(arrays: Iterable[Array]) -> float:
-    total = 0.0
-    for a in arrays:
-        total += float(np.sum(a * a))
-    return float(np.sqrt(total))

@@ -17,7 +17,7 @@ from .checkpoint import save_checkpoint
 from .corpus import CaseRecord, CorpusSplit, NAME_POOL, generator_surface_texts
 from .encoder import build_vocab
 from .errors import ConfigurationError, ContractError
-from .metrics import evaluate_outputs, mae_rmse
+from .metrics import evaluate_outputs, extract_sentence_months, mae_rmse
 from .model import Model, ModelConfig, build_model, decode_case, joint_loss
 from .tensor import Tape, Tensor, backward, grad_check
 
@@ -217,7 +217,6 @@ def train(split: CorpusSplit, library: Mapping[str, ChainSet], cfg: TrainConfig,
         }
         if split.test and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
             opinions = heldout_predictions(model, split.test, chain_map, cfg.max_gen_len)
-            from .metrics import extract_sentence_months
             preds = [extract_sentence_months(opinions[rec.case_id]) for rec in split.test]
             mae, rmse = mae_rmse(preds, golds)
             row["heldout_mae"] = mae

@@ -33,6 +33,16 @@ SOURCE: Article 263
 """
 
 
+@pytest.fixture(scope="module", autouse=True)
+def _no_env_config():
+    """Keep the caller's CHAIN_REASONER_CONFIG away from every in-process
+    ``main`` call, the module-scoped workspace included; tests that need the
+    variable set it themselves."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(CONFIG_ENV, raising=False)
+        yield
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One charge's chain file, a small synthetic corpus, and a checkpoint."""
@@ -301,6 +311,7 @@ class TestGenerate:
         summary = json.loads(capsys.readouterr().out)
         assert summary["cases"] == 5
         assert summary["mode"] == "greedy"
+        assert summary["use_chains"] is True
 
     def test_stdout_when_no_out_flag(self, workspace, capsys):
         assert main(["generate", "--checkpoint", str(workspace["checkpoint"]),
@@ -315,6 +326,38 @@ class TestGenerate:
                      "--corpus", str(workspace["corpus"]), "--no-chains",
                      "--mode", "top-k", "--seed", "9", "--max-len", "10"]) == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 5
+
+    def test_chain_free_checkpoint_decodes_chain_free(self, workspace, tmp_path, capsys):
+        """A checkpoint trained with --no-chains never reads the chain library,
+        with or without --no-chains at generate time."""
+        ckpt = tmp_path / "bare.ckpt"
+        assert main(_train_args(workspace, ckpt) + ["--no-chains"]) == 0
+        capsys.readouterr()
+        outputs = []
+        for flags in ([], ["--no-chains"]):
+            out = tmp_path / f"opinions{len(flags)}.jsonl"
+            assert main(["generate", "--checkpoint", str(ckpt),
+                         "--corpus", str(workspace["corpus"]),
+                         "--chains", str(tmp_path / "no-such-dir"),
+                         "--max-len", "10", "--out", str(out)] + flags) == 0
+            assert json.loads(capsys.readouterr().out)["use_chains"] is False
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_no_chains_flag_reported_in_summary(self, workspace, tmp_path, capsys):
+        out = tmp_path / "opinions.jsonl"
+        assert main(["generate", "--checkpoint", str(workspace["checkpoint"]),
+                     "--corpus", str(workspace["corpus"]), "--no-chains",
+                     "--max-len", "10", "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["use_chains"] is False
+
+    def test_charge_missing_from_chain_library_exits_two(self, workspace, tmp_path, capsys):
+        other = tmp_path / "chains"
+        other.mkdir()
+        shutil.copy(default_chains_dir() / "theft.json", other / "theft.json")
+        assert main(["generate", "--checkpoint", str(workspace["checkpoint"]),
+                     "--corpus", str(workspace["corpus"]), "--chains", str(other)]) == 2
+        assert "dangerous_driving" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_io_error(self, workspace):
         assert main(["generate", "--checkpoint", str(workspace["root"] / "none.ckpt"),

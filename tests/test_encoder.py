@@ -11,6 +11,7 @@ from lexchain.encoder import (
     PAD_ID,
     UNK_ID,
     EmbeddingTable,
+    attention,
     build_vocab,
     crime_transform,
     embed_component,
@@ -21,7 +22,7 @@ from lexchain.encoder import (
 )
 from lexchain.errors import ConfigurationError, ShapeError, ValidationError
 from lexchain.model import ModelConfig, build_model
-from lexchain.tensor import Tape, Tensor, backward, tsum
+from lexchain.tensor import Tape, Tensor, backward, concat, tsum
 from lexchain.tokenizer import tokenize
 
 
@@ -144,6 +145,30 @@ class TestAttention:
         with pytest.raises(ShapeError):
             encode_chain(cs.chains[0], model.table, model.params, heads=3)
 
+    def test_head_count_must_match_the_weights(self):
+        cs, model = _fixture(d=8, heads=2)
+        with pytest.raises(ShapeError):
+            encode_chain(cs.chains[0], model.table, model.params, heads=4)
+
+    def test_weights_carry_the_head_axis(self):
+        _, model = _fixture(d=8, heads=2)
+        for w in ("Wq", "Wk", "Wv"):
+            assert model.params[f"enc.attn.{w}"].shape == (2, 8, 4)
+        assert model.params["enc.attn.Wo"].shape == (2, 4, 8)
+
+    def test_probabilities_per_head_and_diagnostic_is_their_mean(self):
+        cs, model = _fixture(d=8, heads=2)
+        h = Tensor(np.random.default_rng(5).normal(size=(3, 8)))
+        _, probs = attention(h, model.params, "enc.attn", 2)
+        assert probs.shape == (2, 3, 3)
+        np.testing.assert_allclose(probs.data.sum(axis=2), np.ones((2, 3)), atol=1e-12)
+        _, w = encode_chain(cs.chains[0], model.table, model.params, 2)
+        h_chain = concat([embed_component(text, model.table) for text in (
+            cs.chains[0].premise_text, cs.chains[0].situation_text,
+            cs.chains[0].conclusion_text())], axis=0)
+        _, chain_probs = attention(h_chain, model.params, "enc.attn", 2)
+        np.testing.assert_array_equal(w, chain_probs.data.mean(axis=0))
+
 
 def _oracle_encode(chain, charge, table, params, heads):
     """Independent numpy re-derivation of the full per-chain encoding."""
@@ -160,14 +185,14 @@ def _oracle_encode(chain, charge, table, params, heads):
     dh = d // heads
     attn_out = np.zeros_like(h)
     for i in range(heads):
-        q = h @ params[f"enc.attn.{i}.Wq"].data
-        k = h @ params[f"enc.attn.{i}.Wk"].data
-        v = h @ params[f"enc.attn.{i}.Wv"].data
+        q = h @ params["enc.attn.Wq"].data[i]
+        k = h @ params["enc.attn.Wk"].data[i]
+        v = h @ params["enc.attn.Wv"].data[i]
         scores = q @ k.T / np.sqrt(dh)
         scores -= scores.max(axis=1, keepdims=True)
         weights = np.exp(scores)
         weights /= weights.sum(axis=1, keepdims=True)
-        attn_out += weights @ v @ params[f"enc.attn.{i}.Wo"].data
+        attn_out += weights @ v @ params["enc.attn.Wo"].data[i]
     r = (h + attn_out).mean(axis=0, keepdims=True)
     hidden = np.maximum(r @ params["enc.G1.W"].data + params["enc.G1.b"].data, 0.0)
     u = hidden @ params["enc.G2.W"].data + params["enc.G2.b"].data

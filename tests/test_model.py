@@ -1,5 +1,9 @@
 """Combined sequence, decoder, joint loss, generation, and checkpoints."""
 
+import io
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from lexchain.corpus import CaseRecord
 from lexchain.encoder import build_vocab, encode_chain_set
 from lexchain.errors import (
     CapacityError,
+    ConfigurationError,
     ContractError,
     ShapeError,
     ValidationError,
@@ -25,7 +30,6 @@ from lexchain.model import (
     joint_loss,
     layer_norm,
     mark_sentencing_span,
-    np_decoder_forward,
 )
 from lexchain.tensor import Tape, Tensor, backward, tsum
 
@@ -53,6 +57,38 @@ def _cases():
                    opinion="the court orders 3 months of fixed-term imprisonment.",
                    sentence_months=3, sentencing_span=None, defendant="the man"),
     ]
+
+
+def _np_layer_norm(x, g, b, eps=1e-5):
+    mu = x.mean(axis=1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+    return (x - mu) / np.sqrt(var + eps) * g + b
+
+
+def np_decoder_forward(x, data, cfg):
+    """Plain-numpy oracle of the full-sequence decoder, one head at a time:
+    head ``i`` uses slice ``[i]`` of every stacked attention weight."""
+    rows = x.shape[0]
+    dh = cfg.d // cfg.dec_heads
+    mask = np.triu(np.full((rows, rows), MASK_VALUE), k=1)
+    for layer in range(cfg.layers):
+        h = _np_layer_norm(x, data[f"dec.{layer}.ln1.g"], data[f"dec.{layer}.ln1.b"])
+        attn_out = np.zeros_like(x)
+        for i in range(cfg.dec_heads):
+            q = h @ data[f"dec.{layer}.attn.Wq"][i]
+            k = h @ data[f"dec.{layer}.attn.Wk"][i]
+            v = h @ data[f"dec.{layer}.attn.Wv"][i]
+            scores = q @ k.T / np.sqrt(dh) + mask
+            z = scores - scores.max(axis=1, keepdims=True)
+            probs = np.exp(z)
+            probs /= probs.sum(axis=1, keepdims=True)
+            attn_out += (probs @ v) @ data[f"dec.{layer}.attn.Wo"][i]
+        x = x + attn_out
+        h2 = _np_layer_norm(x, data[f"dec.{layer}.ln2.g"], data[f"dec.{layer}.ln2.b"])
+        inner = np.maximum(h2 @ data[f"dec.{layer}.ffn.W1"] + data[f"dec.{layer}.ffn.b1"], 0.0)
+        x = x + inner @ data[f"dec.{layer}.ffn.W2"] + data[f"dec.{layer}.ffn.b2"]
+    x = _np_layer_norm(x, data["dec.lnf.g"], data["dec.lnf.b"])
+    return x @ data["dec.out.W"] + data["dec.out.b"]
 
 
 def _fixture(d=16, heads=2, layers=2, context=48, seed=0):
@@ -102,6 +138,21 @@ class TestBuildModel:
     def test_embedding_table_shares_parameter(self):
         model, _, _ = _fixture()
         assert model.table.matrix is model.params["embed"]
+
+    def test_attention_weights_stack_heads_in_draw_order(self):
+        """Head i of each stacked weight holds what one seeded stream draws for
+        it when the heads are drawn one after another."""
+        model, _, _ = _fixture(d=8, heads=2, layers=1, seed=3)
+        d, dh, scale = 8, 4, 1.0 / np.sqrt(8)
+        rng = np.random.default_rng(3)
+        rng.uniform(-scale, scale, (model.vocab_size, d))
+        rng.uniform(-scale, scale, (model.cfg.context, d))
+        for i in range(2):
+            for w, shape in (("Wq", (d, dh)), ("Wk", (d, dh)), ("Wv", (d, dh)), ("Wo", (dh, d))):
+                np.testing.assert_array_equal(model.params[f"enc.attn.{w}"].data[i],
+                                              rng.uniform(-scale, scale, shape))
+        assert sorted(name for name in model.params if ".attn." in name) == [
+            f"{block}.{w}" for block in ("dec.0.attn", "enc.attn") for w in ("Wk", "Wo", "Wq", "Wv")]
 
 
 class TestCombine:
@@ -403,6 +454,16 @@ class TestGeneration:
         b = decode_case(model, cases[0], chains, mode="top-k", seed=11)
         assert a.token_ids == b.token_ids
 
+    def test_unknown_charge_raises_and_leaves_model_unchanged(self):
+        model, chains, cases = _fixture()
+        before = {name: t.data.copy() for name, t in model.params.items()}
+        foreign = ChainSet(charge="othercharge", chains=chains.chains)
+        with pytest.raises(ConfigurationError):
+            decode_case(model, cases[0], foreign, max_len=4)
+        assert sorted(model.params) == sorted(before)
+        for name, data in before.items():
+            np.testing.assert_array_equal(model.params[name].data, data)
+
     def test_eos_not_included_in_output(self):
         model, _, cases = _fixture()
         combined = combine(None, cases[0].fact, model.table)
@@ -451,6 +512,40 @@ class TestCheckpoint:
         b = joint_loss([(cases[0], chains)], loaded)
         assert a.total.item() == b.total.item()
 
+    def test_format_one_archive_loads_stacked(self, tmp_path):
+        model, chains, cases = _fixture()
+        path = tmp_path / "v1.zip"
+        _write_format_one(path, model)
+        loaded, extra = load_checkpoint(path)
+        assert extra == {"epoch": 1}
+        assert sorted(loaded.params) == sorted(model.params)
+        for name in model.params:
+            np.testing.assert_array_equal(loaded.params[name].data, model.params[name].data)
+        assert (decode_case(loaded, cases[0], chains, max_len=8).token_ids
+                == decode_case(model, cases[0], chains, max_len=8).token_ids)
+
+    def test_format_one_archive_missing_a_head_rejected(self, tmp_path):
+        model, _, _ = _fixture()
+        path = tmp_path / "v1.zip"
+        _write_format_one(path, model, drop="dec.1.attn.1.Wv")
+        with pytest.raises(ValidationError):
+            load_checkpoint(path)
+
+    def test_unknown_format_version_rejected(self, tmp_path):
+        model, _, _ = _fixture()
+        path = tmp_path / "model.zip"
+        save_checkpoint(path, model)
+        manifest = json.loads(zipfile.ZipFile(path).read("manifest.json"))
+        assert manifest["format_version"] == 2
+        manifest["format_version"] = 3
+        future = tmp_path / "v3.zip"
+        with zipfile.ZipFile(path) as src, zipfile.ZipFile(future, "w") as dst:
+            for name in src.namelist():
+                payload = json.dumps(manifest) if name == "manifest.json" else src.read(name)
+                dst.writestr(name, payload)
+        with pytest.raises(ValidationError):
+            load_checkpoint(future)
+
     def test_rejects_foreign_zip(self, tmp_path):
         import zipfile
 
@@ -459,3 +554,31 @@ class TestCheckpoint:
             zf.writestr("manifest.json", "{}")
         with pytest.raises(ValidationError):
             load_checkpoint(path)
+
+
+def _write_format_one(path, model, drop=None):
+    """Hand-write a format-1 archive: one array per attention head, named
+    ``{block}.{i}.W*``, optionally leaving one array out."""
+    arrays = {}
+    for name, t in model.params.items():
+        block, _, weight = name.rpartition(".")
+        if block.endswith(".attn"):
+            for i, head in enumerate(t.data):
+                arrays[f"{block}.{i}.{weight}"] = head
+        else:
+            arrays[name] = t.data
+    arrays.pop(drop, None)
+    names = sorted(arrays)
+    manifest = {
+        "format_version": 1, "kind": "lexchain-checkpoint",
+        "config": model.cfg.to_dict(), "extra": {"epoch": 1},
+        "vocab": model.table.id_to_token, "charges": model.charges,
+        "params": [{"name": n, "file": f"arrays/{i:05d}.npy", "shape": list(arrays[n].shape)}
+                   for i, n in enumerate(names)],
+    }
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("manifest.json", json.dumps(manifest))
+        for i, n in enumerate(names):
+            buf = io.BytesIO()
+            np.save(buf, arrays[n], allow_pickle=False)
+            zf.writestr(f"arrays/{i:05d}.npy", buf.getvalue())

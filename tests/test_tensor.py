@@ -15,18 +15,15 @@ from lexchain.tensor import (
     div,
     dropout,
     gather_rows,
-    global_norm,
     grad_check,
     log_softmax_rows,
     matmul,
     mul,
     pick,
     relu,
-    reshape,
     sigmoid,
     softmax_rows,
     sqrt,
-    stack_rows,
     tmean,
     transpose,
     tsum,
@@ -96,10 +93,25 @@ class TestHandValues:
         right = (a + (b + c)).data
         np.testing.assert_allclose(left, right, atol=1e-9)
 
-    def test_global_norm(self):
-        np.testing.assert_allclose(
-            global_norm([np.array([3.0]), np.array([4.0])]), 5.0
-        )
+    def test_head_axis_matmul_matches_per_head_products(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(3, 4))
+        w = rng.normal(size=(2, 4, 5))
+        u = rng.normal(size=(2, 5, 3))
+        shared = matmul(Tensor(x), Tensor(w)).data
+        paired = matmul(Tensor(shared), Tensor(u)).data
+        assert shared.shape == (2, 3, 5) and paired.shape == (2, 3, 3)
+        for i in range(2):
+            np.testing.assert_array_equal(shared[i], x @ w[i])
+            np.testing.assert_array_equal(paired[i], shared[i] @ u[i])
+
+    def test_transpose_and_softmax_act_on_last_two_axes(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(2, 3, 4))
+        np.testing.assert_array_equal(transpose(Tensor(x)).data, x.transpose(0, 2, 1))
+        probs = softmax_rows(Tensor(x)).data
+        for i in range(2):
+            np.testing.assert_array_equal(probs[i], softmax_rows(Tensor(x[i])).data)
 
 
 class TestKernelGradients:
@@ -133,15 +145,21 @@ class TestKernelGradients:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matmul_transpose_reshape(self, seed):
+        """Matmul and transpose over a leading head axis: 2-D x 3-D, 3-D x 3-D
+        and 3-D x 2-D, as multi-head attention uses them."""
         rng = np.random.default_rng(seed)
         params = {
             "a": Tensor(rng.normal(size=(3, 5))),
-            "b": Tensor(rng.normal(size=(5, 2))),
+            "w": Tensor(rng.normal(size=(2, 5, 4))),
+            "u": Tensor(rng.normal(size=(2, 5, 4))),
+            "b": Tensor(rng.normal(size=(3, 2))),
         }
 
         def objective(p):
-            prod = p["a"] @ p["b"]
-            return tsum(reshape(transpose(prod), (1, 6)))
+            q = p["a"] @ p["w"]
+            k = p["a"] @ p["u"]
+            scores = softmax_rows(q @ transpose(k))
+            return tsum((scores @ k) * q) + tsum(transpose(q) @ p["b"])
 
         assert _fd(params, objective) < 1e-6
 
@@ -196,7 +214,7 @@ class TestKernelGradients:
 
         def objective(p):
             joined = concat([p["u"], p["v"], gather_rows(p["table"], ids)], axis=0)
-            stacked = stack_rows([reshape(joined, (1, 21))])
+            stacked = concat([joined, p["v"]], axis=0)
             picked = pick(joined, rows, cols)
             return tsum(stacked) + tsum(picked * picked)
 
@@ -284,6 +302,12 @@ class TestErrors:
         with pytest.raises(ShapeError):
             matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
 
+    def test_matmul_rejects_unequal_head_counts(self):
+        with pytest.raises(ShapeError):
+            matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 2))))
+        with pytest.raises(ShapeError):
+            matmul(Tensor(np.ones((2, 2, 3, 4))), Tensor(np.ones((4, 2))))
+
     def test_backward_requires_scalar(self):
         x = Tensor([[1.0, 2.0]])
         with Tape() as tape:
@@ -298,7 +322,7 @@ class TestErrors:
 
     def test_transpose_requires_matrix(self):
         with pytest.raises(ShapeError):
-            transpose(Tensor(np.ones((2, 2, 2))))
+            transpose(Tensor(np.ones(3)))
 
     def test_softmax_requires_matrix(self):
         with pytest.raises(ShapeError):
