@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import zipfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,8 @@ from .tensor import Tensor
 
 FORMAT_VERSION = 2
 _EPOCH = (1980, 1, 1, 0, 0, 0)
+_MANIFEST_KEYS = {"format_version", "kind", "config", "vocab", "charges", "params"}
+_CONFIG_KEYS = {f.name for f in fields(ModelConfig)}
 
 
 def _entry(name: str) -> zipfile.ZipInfo:
@@ -56,18 +59,22 @@ def save_checkpoint(path: str | Path, model: Model, extra: dict | None = None) -
 
 
 def load_checkpoint(path: str | Path) -> tuple[Model, dict]:
-    """Rebuild a model from a checkpoint; returns (model, extra-config dict)."""
-    with zipfile.ZipFile(path) as zf:
-        manifest = json.loads(zf.read("manifest.json").decode("utf-8"))
-        if manifest.get("kind") != "lexchain-checkpoint":
-            raise ValidationError(f"{path} is not a model checkpoint")
-        version = manifest.get("format_version")
-        if type(version) is not int or version not in (1, FORMAT_VERSION):
-            raise ValidationError(f"unsupported checkpoint format {version!r}")
+    """Rebuild a model from a checkpoint; returns (model, extra-config dict).
+
+    A file that is not a zip archive, or an archive whose manifest, config
+    keys or arrays do not describe a model, raises ValidationError.
+    """
+    try:
+        zf = zipfile.ZipFile(path)
+    except zipfile.BadZipFile as exc:
+        raise ValidationError(f"{path} is not a checkpoint archive: {exc}") from exc
+    with zf:
+        manifest = _read_manifest(zf, path)
+        version = manifest["format_version"]
         cfg = ModelConfig(**manifest["config"])
         params: dict[str, Tensor] = {}
         for spec in manifest["params"]:
-            arr = np.load(io.BytesIO(zf.read(spec["file"])), allow_pickle=False)
+            arr = _read_array(zf, path, spec)
             if list(arr.shape) != spec["shape"]:
                 raise ValidationError(
                     f"checkpoint array {spec['name']!r} has shape {arr.shape}, "
@@ -77,6 +84,50 @@ def load_checkpoint(path: str | Path) -> tuple[Model, dict]:
     if version == 1:
         stack_heads(params, cfg)
     vocab = {tok: i for i, tok in enumerate(manifest["vocab"])}
-    table = EmbeddingTable(vocab, params["embed"])
+    embed = params.get("embed")
+    if embed is None or embed.shape != (len(vocab), cfg.d):
+        raise ValidationError(f"{path} lacks an embed array of shape {(len(vocab), cfg.d)}")
+    table = EmbeddingTable(vocab, embed)
     model = Model(cfg, table, manifest["charges"], params)
     return model, manifest.get("extra", {})
+
+
+def _read_manifest(zf: zipfile.ZipFile, path: str | Path) -> dict:
+    """The archive's manifest, with its keys and config keys checked."""
+    try:
+        manifest = json.loads(zf.read("manifest.json").decode("utf-8"))
+    except KeyError as exc:
+        raise ValidationError(f"{path} has no manifest.json") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"{path} has an unreadable manifest.json: {exc}") from exc
+    if not isinstance(manifest, dict) or manifest.get("kind") != "lexchain-checkpoint":
+        raise ValidationError(f"{path} is not a model checkpoint")
+    version = manifest.get("format_version")
+    if type(version) is not int or version not in (1, FORMAT_VERSION):
+        raise ValidationError(f"unsupported checkpoint format {version!r}")
+    _check_keys(manifest, _MANIFEST_KEYS, _MANIFEST_KEYS | {"extra"}, f"{path} manifest")
+    if not all(isinstance(manifest[key], list) for key in ("vocab", "charges", "params")):
+        raise ValidationError(f"{path} manifest vocab, charges and params must be lists")
+    config = manifest["config"]
+    if not isinstance(config, dict):
+        raise ValidationError(f"{path} manifest config is not an object")
+    _check_keys(config, _CONFIG_KEYS, _CONFIG_KEYS, f"{path} manifest config")
+    if not all(type(v) is int for v in config.values()):
+        raise ValidationError(f"{path} manifest config values must be integers: {config}")
+    return manifest
+
+
+def _check_keys(obj: dict, required: set[str], allowed: set[str], what: str) -> None:
+    missing = sorted(required - set(obj))
+    unknown = sorted(set(obj) - allowed)
+    if missing or unknown:
+        raise ValidationError(f"{what} has missing keys {missing} and unknown keys {unknown}")
+
+
+def _read_array(zf: zipfile.ZipFile, path: str | Path, spec) -> np.ndarray:
+    if not isinstance(spec, dict) or not {"name", "file", "shape"} <= set(spec):
+        raise ValidationError(f"{path} manifest has a malformed params entry: {spec!r}")
+    try:
+        return np.load(io.BytesIO(zf.read(spec["file"])), allow_pickle=False)
+    except (KeyError, ValueError, OSError) as exc:
+        raise ValidationError(f"{path} array {spec['name']!r} cannot be read: {exc}") from exc

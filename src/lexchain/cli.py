@@ -62,6 +62,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _read_opinions(path: str) -> dict[str, str]:
     opinions: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -72,7 +73,12 @@ def _read_opinions(path: str) -> dict[str, str]:
                 raise UsageError(f"{path}:{lineno}: not valid JSON: {exc.msg}") from exc
             if not isinstance(row, dict) or "case_id" not in row or "opinion" not in row:
                 raise UsageError(f"{path}:{lineno}: each line needs case_id and opinion")
-            opinions[str(row["case_id"])] = str(row["opinion"])
+            case_id = str(row["case_id"])
+            if case_id in first_line:
+                raise UsageError(f"{path}:{lineno}: duplicate case_id {case_id!r} "
+                                 f"(first at line {first_line[case_id]})")
+            first_line[case_id] = lineno
+            opinions[case_id] = str(row["opinion"])
     if not opinions:
         raise UsageError(f"{path}: no opinions found")
     return opinions
@@ -390,7 +396,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        _apply_env_config(parser, argv)
+        if not {"-h", "--help"} & set(argv):  # help never reads the config file
+            _apply_env_config(parser, argv)
         args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:
             parser.print_help()

@@ -100,8 +100,10 @@ def load_jsonl(path: str | Path, lenient: bool = False) -> list[CaseRecord]:
     """Read case records, one JSON object per line.
 
     Fail-fast by default; ``lenient`` skips bad lines with a warning instead.
+    A ``case_id`` seen on an earlier line makes the later line bad.
     """
     records: list[CaseRecord] = []
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -111,11 +113,16 @@ def load_jsonl(path: str | Path, lenient: bool = False) -> list[CaseRecord]:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ParseError(f"invalid JSON: {exc.msg}", line=line_no) from exc
-                records.append(_record_from_dict(obj, line_no))
-            except (ParseError, ValidationError):
+                record = _record_from_dict(obj, line_no)
+                if record.case_id in first_line:
+                    raise ParseError(f"duplicate case_id {record.case_id!r}, first at line "
+                                     f"{first_line[record.case_id]}", line=line_no)
+                first_line[record.case_id] = line_no
+                records.append(record)
+            except (ParseError, ValidationError) as exc:
                 if not lenient:
                     raise
-                warnings.warn(f"skipping bad record at {path} line {line_no}")
+                warnings.warn(f"skipping bad record at {path} line {line_no}: {exc}")
     return records
 
 

@@ -4,9 +4,11 @@ Per chain, the three component texts (premise, situation, conclusion) are
 mean-embedded, run through multi-head self-attention over the three slots with
 a residual connection, mean-pooled to one vector ``r``, pushed through a gated
 crime-transformation block (general MLP + charge-specific linear map blended
-by a sigmoid gate), and fused with ``r`` by a final linear layer.  Stacking
-the per-chain outputs gives the ``n x d`` chain matrix consumed by the
-decoder.
+by a sigmoid gate), and fused with ``r`` by a final linear layer.  A chain
+set of n chains goes through all of this in one pass: the 3n component rows
+are stacked and attend under a block-diagonal mask, so each chain sees only
+its own components, and every later step is row-wise.  The result is the
+``n x d`` chain matrix consumed by the decoder.
 
 Parameters live in a flat ``name -> Tensor`` mapping shared with the decoder;
 this module reads keys under the ``enc.`` prefix.  Vectors are 1 x d rows.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, MutableMapping
+from typing import Iterable, Mapping, MutableMapping, Sequence
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .tokenizer import tokenize
 PAD_TOKEN, UNK_TOKEN, EOS_TOKEN = "<pad>", "<unk>", "<eos>"
 PAD_ID, UNK_ID, EOS_ID = 0, 1, 2
 SPECIAL_TOKENS = (PAD_TOKEN, UNK_TOKEN, EOS_TOKEN)
+MASK_VALUE = -1e9  # finite additive mask keeps forward outputs NaN/Inf-free
 
 
 def build_vocab(texts: Iterable[str], extra_tokens: Iterable[str] = ()) -> dict[str, int]:
@@ -72,18 +75,30 @@ class EmbeddingTable:
         return [self.id_to_token[i] for i in ids]
 
 
-def embed_component(text: str, table: EmbeddingTable) -> Tensor:
-    """Mean of the token embedding rows as a 1 x d tensor.
+def embed_components(texts: Sequence[str], table: EmbeddingTable) -> Tensor:
+    """Mean of each text's token embedding rows: a len(texts) x d tensor.
 
-    An empty token list yields a zero vector and a warning, so degenerate
+    All texts share one row gather and one matmul with an averaging matrix.
+    A text with no tokens yields a zero row and a warning, so degenerate
     component texts stay visible without breaking the pipeline.
     """
-    ids = table.encode(text)
-    if not ids:
-        warnings.warn(f"component text {text!r} has no tokens; embedding as zero vector")
-        return Tensor(np.zeros((1, table.d)))
-    rows = T.gather_rows(table.matrix, ids)
-    return T.tmean(rows, axis=0, keepdims=True)
+    ids: list[int] = []
+    spans = []
+    for text in texts:
+        text_ids = table.encode(text)
+        if not text_ids:
+            warnings.warn(f"component text {text!r} has no tokens; embedding as zero vector")
+        spans.append((len(ids), len(text_ids)))
+        ids.extend(text_ids)
+    averaging = np.zeros((len(texts), len(ids)))
+    for row, (start, count) in enumerate(spans):
+        averaging[row, start:start + count] = 1.0 / max(count, 1)
+    return T.matmul(Tensor(averaging), T.gather_rows(table.matrix, ids))
+
+
+def embed_component(text: str, table: EmbeddingTable) -> Tensor:
+    """Mean of the token embedding rows of one text as a 1 x d tensor."""
+    return embed_components([text], table)
 
 
 @dataclass
@@ -125,6 +140,42 @@ def attention(h: Tensor, params: Mapping[str, Tensor], prefix: str, heads: int,
     return out, probs
 
 
+_CHAIN_CONSTANTS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _chain_constants(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Additive block-diagonal mask (3n x 3n) that keeps each chain's three
+    components attending among themselves, and the (n x 3n) matrix that
+    mean-pools each chain's three rows."""
+    found = _CHAIN_CONSTANTS.get(n)
+    if found is None:
+        owner = np.repeat(np.arange(n), 3)
+        mask = np.where(owner[:, None] == owner[None, :], 0.0, MASK_VALUE)
+        pool = np.where(np.arange(n)[:, None] == owner[None, :], 1.0 / 3.0, 0.0)
+        found = (mask, pool)
+        _CHAIN_CONSTANTS[n] = found
+    return found
+
+
+def _encode_pooled(chains: Sequence[LegalChain], table: EmbeddingTable,
+                   params: Mapping[str, Tensor], heads: int, dropout_rate: float,
+                   rng: np.random.Generator | None) -> tuple[Tensor, list[np.ndarray]]:
+    """Stack every chain's premise, situation and conclusion rows, attend within
+    each chain, add the residual and mean-pool: n x d, plus one head-averaged
+    3x3 attention matrix per chain (the diagonal blocks)."""
+    n = len(chains)
+    texts = [text for chain in chains
+             for text in (chain.premise_text, chain.situation_text, chain.conclusion_text())]
+    h = embed_components(texts, table)
+    mask, pool = _chain_constants(n)
+    attn_out, probs = attention(h, params, "enc.attn", heads, Tensor(mask))
+    if dropout_rate:
+        attn_out = T.dropout(attn_out, dropout_rate, rng)
+    r = T.matmul(Tensor(pool), h + attn_out)
+    mean_probs = probs.data.mean(axis=0)
+    return r, [mean_probs[i:i + 3, i:i + 3] for i in range(0, 3 * n, 3)]
+
+
 def encode_chain(chain: LegalChain, table: EmbeddingTable, params: Mapping[str, Tensor],
                  heads: int, dropout_rate: float = 0.0,
                  rng: np.random.Generator | None = None) -> tuple[Tensor, np.ndarray]:
@@ -133,15 +184,8 @@ def encode_chain(chain: LegalChain, table: EmbeddingTable, params: Mapping[str, 
     Returns the pooled 1 x d representation ``r`` and the head-averaged 3x3
     attention weight matrix (diagnostic only; consumed by nothing downstream).
     """
-    e_p = embed_component(chain.premise_text, table)
-    e_s = embed_component(chain.situation_text, table)
-    e_c = embed_component(chain.conclusion_text(), table)
-    h = T.concat([e_p, e_s, e_c], axis=0)
-    attn_out, probs = attention(h, params, "enc.attn", heads)
-    if dropout_rate:
-        attn_out = T.dropout(attn_out, dropout_rate, rng)
-    r = T.tmean(h + attn_out, axis=0, keepdims=True)
-    return r, probs.data.mean(axis=0)
+    r, weights = _encode_pooled([chain], table, params, heads, dropout_rate, rng)
+    return r, weights[0]
 
 
 def ensure_charge(params: MutableMapping[str, Tensor], charge: str, d: int,
@@ -193,15 +237,10 @@ def fuse(r: Tensor, t: Tensor, params: Mapping[str, Tensor]) -> Tensor:
 def encode_chain_set(cs: ChainSet, table: EmbeddingTable, params: MutableMapping[str, Tensor],
                      heads: int, auto_register: bool = True, dropout_rate: float = 0.0,
                      rng: np.random.Generator | None = None) -> EncodedChainSet:
-    """Encode every chain of a set, preserving chain order in the output rows."""
+    """Encode every chain of a set in one pass, preserving chain order in the
+    output rows."""
     if not cs.chains:
         raise ValidationError(f"chain set for {cs.charge!r} is empty; nothing to encode")
-    rows = []
-    weights = []
-    for chain in cs.chains:
-        r, w = encode_chain(chain, table, params, heads, dropout_rate, rng)
-        t, _ = crime_transform(r, cs.charge, params, auto_register, dropout_rate, rng)
-        rows.append(fuse(r, t, params))
-        weights.append(w)
-    e_chain = rows[0] if len(rows) == 1 else T.concat(rows, axis=0)
-    return EncodedChainSet(e_chain=e_chain, attention_weights=weights)
+    r, weights = _encode_pooled(cs.chains, table, params, heads, dropout_rate, rng)
+    t, _ = crime_transform(r, cs.charge, params, auto_register, dropout_rate, rng)
+    return EncodedChainSet(e_chain=fuse(r, t, params), attention_weights=weights)

@@ -19,13 +19,12 @@ import numpy as np
 
 from . import tensor as T
 from .chains import ChainSet
-from .encoder import EmbeddingTable, EncodedChainSet, attention, encode_chain_set
+from .encoder import (MASK_VALUE, EmbeddingTable, EncodedChainSet, attention,
+                      encode_chain_set)
 from .errors import (CapacityError, ContractError, ShapeError, ValidationError)
 from .metrics import extract_sentence_months, find_sentencing_char_span
 from .tensor import Tensor
 from .tokenizer import detokenize, span_to_token_interval
-
-MASK_VALUE = -1e9  # finite causal mask keeps forward outputs NaN/Inf-free
 
 
 @dataclass
@@ -244,9 +243,12 @@ def joint_loss(batch: Sequence[tuple], model: Model, alpha: float = 1.0, beta: f
                auto_register: bool = True) -> JointLoss:
     """Teacher-forced joint objective over a batch of (case, chain set) pairs.
 
-    ``chain set`` may be None per pair (the no-chain ablation path).  The
-    reasoning term averages over all target tokens in the batch; the
-    sentencing term averages over sentencing-clause tokens only.
+    ``chain set`` may be None per pair (the no-chain ablation path).  Each
+    distinct chain set (by object identity) is encoded once per call and its
+    tensor reused by every case that holds it; the tape sums their gradients.
+    With ``dropout_rate > 0`` the cases sharing a set therefore share one
+    dropout draw.  The reasoning term averages over all target tokens in the
+    batch; the sentencing term averages over sentencing-clause tokens only.
     """
     if alpha < 0 or beta < 0 or (alpha == 0 and beta == 0):
         raise ContractError(f"loss weights must be >= 0 and not both zero, got {alpha}, {beta}")
@@ -258,12 +260,16 @@ def joint_loss(batch: Sequence[tuple], model: Model, alpha: float = 1.0, beta: f
     sum_sentencing = None
     token_count = 0
     mask_count = 0
+    encodings: dict[int, EncodedChainSet] = {}
     for record, chain_set in batch:
         encoded = None
         if chain_set is not None:
-            encoded = encode_chain_set(chain_set, table, model.params, model.cfg.enc_heads,
-                                       auto_register=auto_register,
-                                       dropout_rate=dropout_rate, rng=rng)
+            encoded = encodings.get(id(chain_set))
+            if encoded is None:
+                encoded = encode_chain_set(chain_set, table, model.params, model.cfg.enc_heads,
+                                           auto_register=auto_register,
+                                           dropout_rate=dropout_rate, rng=rng)
+                encodings[id(chain_set)] = encoded
         combined = combine(encoded, record.fact, table)
         n = encoded.n if encoded is not None else 0
         prefix_len = combined.shape[0]

@@ -16,7 +16,7 @@ from .chains import ChainSet, SentencingRange, chain_from_text
 from .checkpoint import save_checkpoint
 from .corpus import CaseRecord, CorpusSplit, NAME_POOL, generator_surface_texts
 from .encoder import build_vocab
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError, ContractError, EvaluationError
 from .metrics import evaluate_outputs, extract_sentence_months, mae_rmse
 from .model import Model, ModelConfig, build_model, decode_case, joint_loss
 from .tensor import Tape, Tensor, backward, grad_check
@@ -170,7 +170,9 @@ def train(split: CorpusSplit, library: Mapping[str, ChainSet], cfg: TrainConfig,
     """Optimize the joint objective over the training split.
 
     With ``use_chains`` off the model is built identically (same parameters,
-    same data order) but every case decodes from a chain-free prefix.
+    same data order) but every case decodes from a chain-free prefix.  A
+    non-finite loss or pre-clip gradient norm raises EvaluationError before
+    the optimizer step.
     """
     if not split.train:
         raise ContractError("training split is empty")
@@ -192,7 +194,7 @@ def train(split: CorpusSplit, library: Mapping[str, ChainSet], cfg: TrainConfig,
         order = order_rng.permutation(len(split.train))
         sums = {"loss_total": 0.0, "loss_reasoning": 0.0, "loss_sentencing": 0.0}
         weight = 0
-        for start in range(0, len(order), cfg.batch_size):
+        for step, start in enumerate(range(0, len(order), cfg.batch_size), start=1):
             chunk = order[start:start + cfg.batch_size]
             batch = [(split.train[i], chain_map[split.train[i].charge]) for i in chunk]
             with Tape() as tape:
@@ -201,9 +203,13 @@ def train(split: CorpusSplit, library: Mapping[str, ChainSet], cfg: TrainConfig,
                                     dropout_rate=cfg.dropout, rng=dropout_rng)
                 backward(tape, losses.total)
             grads = {name: t.grad for name, t in model.params.items()}
-            clip_gradients(grads, cfg.grad_clip)
+            norm = clip_gradients(grads, cfg.grad_clip)
+            loss_value = losses.total.item()
+            if not (math.isfinite(loss_value) and math.isfinite(norm)):
+                raise EvaluationError(f"epoch {epoch}, step {step}: loss {loss_value} or "
+                                      f"gradient norm {norm} is not finite")
             adam_step(model.params, grads, adam, cfg.lr)
-            sums["loss_total"] += losses.total.item() * len(chunk)
+            sums["loss_total"] += loss_value * len(chunk)
             sums["loss_reasoning"] += losses.reasoning.item() * len(chunk)
             sums["loss_sentencing"] += losses.sentencing.item() * len(chunk)
             weight += len(chunk)

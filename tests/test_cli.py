@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import zipfile
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -365,6 +366,82 @@ class TestGenerate:
                      "--chains", str(workspace["chains"])]) == 3
 
 
+def _corrupted_checkpoint(source: Path, target: Path, edit=None, drop=()) -> Path:
+    """Copy a checkpoint archive, editing its manifest and dropping entries."""
+    with zipfile.ZipFile(source) as zin, zipfile.ZipFile(target, "w") as zout:
+        for name in zin.namelist():
+            if name in drop:
+                continue
+            data = zin.read(name)
+            if name == "manifest.json" and edit is not None:
+                manifest = json.loads(data)
+                edit(manifest)
+                data = json.dumps(manifest).encode("utf-8")
+            zout.writestr(name, data)
+    return target
+
+
+def _drop_embed(manifest):
+    manifest["params"] = [p for p in manifest["params"] if p["name"] != "embed"]
+
+
+class TestCorruptCheckpoint:
+    """Every malformed checkpoint exits 2 with a message, never a traceback."""
+
+    def _generate(self, workspace, checkpoint, capsys):
+        code = main(["generate", "--checkpoint", str(checkpoint),
+                     "--corpus", str(workspace["corpus"]),
+                     "--chains", str(workspace["chains"]), "--max-len", "5"])
+        return code, capsys.readouterr().err
+
+    def test_garbage_file(self, workspace, tmp_path, capsys):
+        garbage = tmp_path / "garbage.ckpt"
+        garbage.write_bytes(b"this is not a zip archive\n" * 4)
+        code, err = self._generate(workspace, garbage, capsys)
+        assert code == 2
+        assert "not a checkpoint archive" in err
+
+    def test_missing_manifest(self, workspace, tmp_path, capsys):
+        ckpt = _corrupted_checkpoint(workspace["checkpoint"], tmp_path / "m.ckpt",
+                                     drop=("manifest.json",))
+        code, err = self._generate(workspace, ckpt, capsys)
+        assert code == 2
+        assert "no manifest.json" in err
+
+    def test_missing_manifest_key(self, workspace, tmp_path, capsys):
+        ckpt = _corrupted_checkpoint(workspace["checkpoint"], tmp_path / "m.ckpt",
+                                     edit=lambda m: m.pop("vocab"))
+        code, err = self._generate(workspace, ckpt, capsys)
+        assert code == 2
+        assert "missing keys ['vocab']" in err
+
+    def test_missing_config_key(self, workspace, tmp_path, capsys):
+        ckpt = _corrupted_checkpoint(workspace["checkpoint"], tmp_path / "m.ckpt",
+                                     edit=lambda m: m["config"].pop("layers"))
+        code, err = self._generate(workspace, ckpt, capsys)
+        assert code == 2
+        assert "missing keys ['layers']" in err
+
+    def test_unknown_config_key(self, workspace, tmp_path, capsys):
+        ckpt = _corrupted_checkpoint(workspace["checkpoint"], tmp_path / "m.ckpt",
+                                     edit=lambda m: m["config"].update(width=3))
+        code, err = self._generate(workspace, ckpt, capsys)
+        assert code == 2
+        assert "unknown keys ['width']" in err
+
+    def test_missing_embed_array(self, workspace, tmp_path, capsys):
+        ckpt = _corrupted_checkpoint(workspace["checkpoint"], tmp_path / "m.ckpt",
+                                     edit=_drop_embed)
+        code, err = self._generate(workspace, ckpt, capsys)
+        assert code == 2
+        assert "embed" in err
+
+    def test_untouched_copy_still_loads(self, workspace, tmp_path, capsys):
+        ckpt = _corrupted_checkpoint(workspace["checkpoint"], tmp_path / "m.ckpt")
+        code, err = self._generate(workspace, ckpt, capsys)
+        assert code == 0, err
+
+
 def _gold_opinions_file(corpus_path: Path, out_path: Path) -> Path:
     lines = []
     for line in corpus_path.read_text(encoding="utf-8").strip().split("\n"):
@@ -401,6 +478,16 @@ class TestEvaluate:
         opinions.write_text("{not json}\n", encoding="utf-8")
         assert main(["evaluate", "--corpus", str(workspace["corpus"]),
                      "--opinions", str(opinions)]) == 1
+
+    def test_duplicate_case_id_is_usage_error(self, workspace, tmp_path, capsys):
+        opinions = _gold_opinions_file(workspace["corpus"], tmp_path / "gold.jsonl")
+        lines = opinions.read_text(encoding="utf-8").splitlines()
+        opinions.write_text("\n".join(lines + [lines[1]]) + "\n", encoding="utf-8")
+        assert main(["evaluate", "--corpus", str(workspace["corpus"]),
+                     "--opinions", str(opinions)]) == 1
+        err = capsys.readouterr().err
+        assert f"{opinions}:{len(lines) + 1}: duplicate case_id" in err
+        assert "(first at line 2)" in err
 
 
 class TestScreen:
@@ -481,6 +568,17 @@ class TestEnvConfig:
         config.write_text("{broken", encoding="utf-8")
         monkeypatch.setenv(CONFIG_ENV, str(config))
         assert main(["synth-corpus", "--out", str(tmp_path / "c.jsonl")]) == 1
+
+    def test_help_ignores_a_bad_config(self, tmp_path, monkeypatch, capsys):
+        """--help exits 0 whatever the config file holds; a real command with
+        the same config is still a usage error."""
+        monkeypatch.setenv(CONFIG_ENV, str(tmp_path / "missing.json"))
+        assert main(["--help"]) == 0
+        assert main(["train", "--help"]) == 0
+        assert main(["generate", "-h"]) == 0
+        capsys.readouterr()
+        assert main(["synth-corpus", "--out", str(tmp_path / "c.jsonl")]) == 1
+        assert "cannot read" in capsys.readouterr().err
 
     def test_non_object_config_is_usage_error(self, tmp_path, monkeypatch):
         config = tmp_path / "config.json"

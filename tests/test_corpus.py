@@ -161,18 +161,35 @@ class TestJsonl:
             load_jsonl(path)
 
     def test_lenient_mode_skips_and_warns(self, tmp_path, corpus):
-        good = json.dumps(corpus[0].to_dict())
+        first, second = (json.dumps(rec.to_dict()) for rec in corpus[:2])
         path = tmp_path / "mixed.jsonl"
-        path.write_text(f'{good}\nnot json\n{good}\n', encoding="utf-8")
+        path.write_text(f'{first}\nnot json\n{second}\n', encoding="utf-8")
         with pytest.warns(UserWarning):
             records = load_jsonl(path, lenient=True)
         assert len(records) == 2
 
     def test_blank_lines_are_skipped(self, tmp_path, corpus):
-        good = json.dumps(corpus[0].to_dict())
+        first, second = (json.dumps(rec.to_dict()) for rec in corpus[:2])
         path = tmp_path / "gaps.jsonl"
-        path.write_text(f'{good}\n\n{good}\n', encoding="utf-8")
+        path.write_text(f'{first}\n\n{second}\n', encoding="utf-8")
         assert len(load_jsonl(path)) == 2
+
+    def test_duplicate_case_id_names_both_lines(self, tmp_path, corpus):
+        first, second = (json.dumps(rec.to_dict()) for rec in corpus[:2])
+        path = tmp_path / "dup.jsonl"
+        path.write_text(f'{first}\n{second}\n\n{first}\n', encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"first at line 1 \(line 4\)"):
+            load_jsonl(path)
+
+    def test_lenient_mode_skips_the_later_duplicate(self, tmp_path, corpus):
+        changed = corpus[0].to_dict()
+        changed["fact"] = corpus[1].fact
+        path = tmp_path / "dup.jsonl"
+        path.write_text(f'{json.dumps(corpus[0].to_dict())}\n{json.dumps(changed)}\n',
+                        encoding="utf-8")
+        with pytest.warns(UserWarning, match="line 2: duplicate case_id"):
+            records = load_jsonl(path, lenient=True)
+        assert records == [corpus[0]]
 
     def test_bool_is_not_an_int(self, tmp_path, corpus):
         row = corpus[0].to_dict()

@@ -1,11 +1,13 @@
 """Chain encoder: vocabulary, attention, gating, fusion, and a full oracle."""
 
+import dataclasses
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from lexchain.chains import ChainSet, SentencingRange, chain_from_text
+from lexchain.chains import ChainSet, SentencingRange, chain_from_text, load_chain_library
 from lexchain.encoder import (
     EOS_ID,
     PAD_ID,
@@ -204,6 +206,19 @@ def _oracle_encode(chain, charge, table, params, heads):
     return cat @ params["enc.fusion.W"].data + params["enc.fusion.b"].data
 
 
+_LIBRARY = load_chain_library(str(resources.files("lexchain") / "data" / "chains"))
+
+
+def _library_fixture(charge, d=8, heads=2, seed=0):
+    """A shipped chain set and a model whose vocabulary covers its texts."""
+    cs = _LIBRARY[charge]
+    texts = []
+    for c in cs.chains:
+        texts += [c.premise_text, c.situation_text, c.conclusion_text()]
+    cfg = ModelConfig(d=d, enc_heads=heads, dec_heads=heads, layers=1, context=32)
+    return cs, build_model(build_vocab(texts), [charge], cfg, seed)
+
+
 class TestFullEncodingOracle:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_independent_numpy(self, seed):
@@ -213,6 +228,41 @@ class TestFullEncodingOracle:
         for i, chain in enumerate(cs.chains):
             expected = _oracle_encode(chain, cs.charge, model.table, model.params, 2)
             np.testing.assert_allclose(encoded.e_chain.data[i:i + 1], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_three_chain_theft_set(self, seed):
+        cs, model = _library_fixture("theft", seed=seed)
+        assert len(cs.chains) == 3
+        encoded = encode_chain_set(cs, model.table, model.params, model.cfg.enc_heads)
+        assert encoded.e_chain.shape == (3, 8)
+        for i, chain in enumerate(cs.chains):
+            expected = _oracle_encode(chain, cs.charge, model.table, model.params, 2)
+            np.testing.assert_allclose(encoded.e_chain.data[i:i + 1], expected, atol=1e-12)
+            _, alone = encode_chain(chain, model.table, model.params, 2)
+            np.testing.assert_allclose(encoded.attention_weights[i], alone, atol=1e-12)
+
+    @pytest.mark.parametrize("charge", sorted(_LIBRARY))
+    def test_every_shipped_set(self, charge):
+        cs, model = _library_fixture(charge, d=16, heads=4, seed=1)
+        encoded = encode_chain_set(cs, model.table, model.params, model.cfg.enc_heads)
+        assert encoded.e_chain.shape == (len(cs.chains), 16)
+        for i, chain in enumerate(cs.chains):
+            expected = _oracle_encode(chain, cs.charge, model.table, model.params, 4)
+            np.testing.assert_allclose(encoded.e_chain.data[i:i + 1], expected, atol=1e-12)
+
+    def test_chains_do_not_attend_to_each_other(self):
+        """Perturbing one chain's premise moves only that chain's row."""
+        cs, model = _library_fixture("theft")
+        before = encode_chain_set(cs, model.table, model.params, 2).e_chain.data
+        for j, chain in enumerate(cs.chains):
+            perturbed = list(cs.chains)
+            perturbed[j] = dataclasses.replace(
+                chain, premise_text=cs.chains[(j + 1) % len(cs.chains)].situation_text)
+            after = encode_chain_set(ChainSet(charge=cs.charge, chains=perturbed),
+                                     model.table, model.params, 2).e_chain.data
+            assert not np.allclose(after[j], before[j])
+            others = [i for i in range(len(cs.chains)) if i != j]
+            np.testing.assert_allclose(after[others], before[others], rtol=0, atol=1e-12)
 
     def test_attention_diagnostics_one_per_chain(self):
         cs, model = _fixture()

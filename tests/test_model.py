@@ -1,5 +1,6 @@
 """Combined sequence, decoder, joint loss, generation, and checkpoints."""
 
+import copy
 import io
 import json
 import zipfile
@@ -7,6 +8,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from lexchain import model as model_module
 from lexchain.chains import ChainSet, SentencingRange, chain_from_text
 from lexchain.checkpoint import load_checkpoint, save_checkpoint
 from lexchain.corpus import CaseRecord
@@ -391,6 +393,34 @@ class TestJointLoss:
         assert np.any(model.params["dec.out.W"].grad != 0.0)
         assert np.any(model.params["enc.fusion.W"].grad != 0.0)
         assert np.any(model.params["embed"].grad != 0.0)
+
+    def test_cases_sharing_a_chain_set_encode_it_once(self, monkeypatch):
+        model, chains, cases = _fixture()
+        calls = []
+        original = model_module.encode_chain_set
+
+        def counting(cs, *args, **kwargs):
+            calls.append(cs)
+            return original(cs, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "encode_chain_set", counting)
+
+        def loss_and_grads(batch):
+            with Tape() as tape:
+                tape.watch(*model.params.values())
+                losses = joint_loss(batch, model)
+                backward(tape, losses.total)
+            return losses.total.item(), {n: t.grad.copy() for n, t in model.params.items()}
+
+        shared, shared_grads = loss_and_grads([(cases[0], chains), (cases[1], chains)])
+        assert calls == [chains]
+        copied, copied_grads = loss_and_grads([(cases[0], chains),
+                                               (cases[1], copy.deepcopy(chains))])
+        assert len(calls) == 3
+        assert shared == copied
+        for name, grad in shared_grads.items():
+            np.testing.assert_allclose(grad, copied_grads[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
 
 
 class TestGeneration:

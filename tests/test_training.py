@@ -11,7 +11,8 @@ from lexchain.chains import ChainSet, SentencingRange, chain_from_text, load_cha
 from lexchain.checkpoint import load_checkpoint
 from lexchain.cli import default_chains_dir
 from lexchain.corpus import CaseRecord, CorpusSplit, synthesize_corpus, split
-from lexchain.errors import ConfigurationError, ContractError
+from lexchain import training as training_module
+from lexchain.errors import ConfigurationError, ContractError, EvaluationError
 from lexchain.model import decode_case
 from lexchain.tensor import Tensor
 from lexchain.training import (
@@ -251,6 +252,45 @@ class TestTrainLoop:
         assert maes[0] is None
         assert isinstance(maes[1], float)
         assert isinstance(maes[2], float)  # the final epoch always evaluates
+
+    @pytest.mark.parametrize("fault", ["nan_parameter", "loss_only", "norm_only"])
+    def test_nonfinite_loss_stops_before_the_optimizer(self, driving_corpus, library,
+                                                      tmp_path, monkeypatch, fault):
+        """A NaN-poisoned parameter stops training before Adam; so does a
+        non-finite loss with a finite norm, and a non-finite norm alone."""
+        parts = split(driving_corpus, 0.8, seed=0)
+        build_model = training_module.build_model
+        clip_gradients = training_module.clip_gradients
+        built = []
+        states = []
+
+        def model_under_test(*args, **kwargs):
+            model = build_model(*args, **kwargs)
+            if fault != "norm_only":
+                model.params["dec.out.b"].data[3] = np.nan
+            built.append((model, {n: t.data.copy() for n, t in model.params.items()}))
+            return model
+
+        def reported_norm(grads, max_norm):
+            norm = clip_gradients(grads, max_norm)
+            return {"nan_parameter": norm, "loss_only": 1.0, "norm_only": np.inf}[fault]
+
+        def recorded_adam_state():
+            states.append(AdamState())
+            return states[-1]
+
+        monkeypatch.setattr(training_module, "build_model", model_under_test)
+        monkeypatch.setattr(training_module, "clip_gradients", reported_norm)
+        monkeypatch.setattr(training_module, "AdamState", recorded_adam_state)
+        ckpt = tmp_path / "model.zip"
+        with pytest.raises(EvaluationError, match="epoch 1, step 1:"):
+            train(parts, library, _tiny_cfg(), checkpoint_path=ckpt)
+        (state,) = states
+        assert (state.step, state.m, state.v) == (0, {}, {})
+        ((model, before),) = built
+        for name, t in model.params.items():
+            np.testing.assert_array_equal(t.data, before[name], err_msg=name)
+        assert not ckpt.exists()
 
     def test_eval_every_must_be_positive(self):
         with pytest.raises(ContractError):
