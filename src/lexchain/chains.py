@@ -119,6 +119,9 @@ def expr_to_text(expr: ConditionExpr) -> str:
 
 
 _INFIX_SPLIT = re.compile(r"(\(|\)|\bAND\b|\bOR\b)")
+# Deepest parenthesis nesting parse_infix accepts; each level costs three
+# stack frames, so deeper text would otherwise exhaust the recursion limit.
+MAX_NESTING = 100
 
 
 def parse_infix(text: str) -> ConditionExpr:
@@ -126,10 +129,12 @@ def parse_infix(text: str) -> ConditionExpr:
 
     Uppercase AND/OR are operators (AND binds tighter); anything else is
     predicate text.  Lowercase "and"/"or" stay inside predicate labels.
+    Parentheses nested more than ``MAX_NESTING`` deep raise ParseError.
     """
     tokens = [t.strip() for t in _INFIX_SPLIT.split(text)]
     tokens = [t for t in tokens if t]
     pos = 0
+    depth = 0
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -159,11 +164,16 @@ def parse_infix(text: str) -> ConditionExpr:
         if tok is None:
             raise ParseError(f"condition text ended unexpectedly: {text!r}")
         if tok == "(":
+            nonlocal depth
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError(f"condition nests parentheses more than {MAX_NESTING} deep")
             take()
             inner = parse_or()
             if peek() != ")":
                 raise ParseError(f"unbalanced parentheses in condition: {text!r}")
             take()
+            depth -= 1
             return inner
         if tok in (")", "AND", "OR"):
             raise ParseError(f"misplaced {tok!r} in condition: {text!r}")

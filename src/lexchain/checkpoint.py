@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import zipfile
 from dataclasses import fields
 from pathlib import Path
@@ -18,13 +19,14 @@ import numpy as np
 
 from .encoder import EmbeddingTable
 from .errors import ValidationError
-from .model import Model, ModelConfig, stack_heads
+from .model import Model, ModelConfig, param_shapes, stack_heads
 from .tensor import Tensor
 
 FORMAT_VERSION = 2
 _EPOCH = (1980, 1, 1, 0, 0, 0)
 _MANIFEST_KEYS = {"format_version", "kind", "config", "vocab", "charges", "params"}
 _CONFIG_KEYS = {f.name for f in fields(ModelConfig)}
+_CHARGE = "enc.charge."
 
 
 def _entry(name: str) -> zipfile.ZipInfo:
@@ -34,7 +36,11 @@ def _entry(name: str) -> zipfile.ZipInfo:
 
 
 def save_checkpoint(path: str | Path, model: Model, extra: dict | None = None) -> None:
-    """Write the model (parameters, vocabulary, charges, config) to ``path``."""
+    """Write the model (parameters, vocabulary, charges, config) to ``path``.
+
+    The archive is written to a hidden sibling file and moved over ``path``
+    only when complete, so a failed save leaves an earlier checkpoint intact.
+    """
     names = sorted(model.params)
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -49,13 +55,19 @@ def save_checkpoint(path: str | Path, model: Model, extra: dict | None = None) -
             for i, name in enumerate(names)
         ],
     }
-    with zipfile.ZipFile(path, "w") as zf:
-        zf.writestr(_entry("manifest.json"),
-                    json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
-        for i, name in enumerate(names):
-            buf = io.BytesIO()
-            np.save(buf, model.params[name].data, allow_pickle=False)
-            zf.writestr(_entry(f"arrays/{i:05d}.npy"), buf.getvalue())
+    target = Path(path)
+    partial = target.with_name(f".{target.name}.tmp")
+    try:
+        with zipfile.ZipFile(partial, "w") as zf:
+            zf.writestr(_entry("manifest.json"),
+                        json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+            for i, name in enumerate(names):
+                buf = io.BytesIO()
+                np.save(buf, model.params[name].data, allow_pickle=False)
+                zf.writestr(_entry(f"arrays/{i:05d}.npy"), buf.getvalue())
+        os.replace(partial, target)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> tuple[Model, dict]:
@@ -84,10 +96,8 @@ def load_checkpoint(path: str | Path) -> tuple[Model, dict]:
     if version == 1:
         stack_heads(params, cfg)
     vocab = {tok: i for i, tok in enumerate(manifest["vocab"])}
-    embed = params.get("embed")
-    if embed is None or embed.shape != (len(vocab), cfg.d):
-        raise ValidationError(f"{path} lacks an embed array of shape {(len(vocab), cfg.d)}")
-    table = EmbeddingTable(vocab, embed)
+    _check_params(params, cfg, len(vocab), manifest["charges"], path)
+    table = EmbeddingTable(vocab, params["embed"])
     model = Model(cfg, table, manifest["charges"], params)
     return model, manifest.get("extra", {})
 
@@ -108,6 +118,8 @@ def _read_manifest(zf: zipfile.ZipFile, path: str | Path) -> dict:
     _check_keys(manifest, _MANIFEST_KEYS, _MANIFEST_KEYS | {"extra"}, f"{path} manifest")
     if not all(isinstance(manifest[key], list) for key in ("vocab", "charges", "params")):
         raise ValidationError(f"{path} manifest vocab, charges and params must be lists")
+    if not all(isinstance(item, str) for key in ("vocab", "charges") for item in manifest[key]):
+        raise ValidationError(f"{path} manifest vocab and charges must hold strings")
     config = manifest["config"]
     if not isinstance(config, dict):
         raise ValidationError(f"{path} manifest config is not an object")
@@ -115,6 +127,26 @@ def _read_manifest(zf: zipfile.ZipFile, path: str | Path) -> dict:
     if not all(type(v) is int for v in config.values()):
         raise ValidationError(f"{path} manifest config values must be integers: {config}")
     return manifest
+
+
+def _check_params(params: dict[str, Tensor], cfg: ModelConfig, vocab_size: int,
+                  charges: list, path: str | Path) -> None:
+    """Every parameter the config implies is present with its shape, and no
+    other.  A charge registered after the model was built is not listed in
+    ``charges``; its ``enc.charge.<c>.W``/``.b`` pair is checked all the same."""
+    registered = {name[len(_CHARGE):-2] for name in params
+                  if name.startswith(_CHARGE) and name.endswith((".W", ".b"))}
+    expected = param_shapes(cfg, vocab_size, sorted(set(charges) | registered))
+    missing = sorted(set(expected) - set(params))
+    extra = sorted(set(params) - set(expected))
+    misshapen = sorted(name for name in set(expected) & set(params)
+                       if params[name].shape != expected[name])
+    if missing or extra or misshapen:
+        raise ValidationError(
+            f"{path} does not hold the parameters its config implies: missing {missing}, "
+            f"unexpected {extra}, misshapen "
+            f"{[f'{n} {params[n].shape} != {expected[n]}' for n in misshapen]}"
+        )
 
 
 def _check_keys(obj: dict, required: set[str], allowed: set[str], what: str) -> None:
@@ -125,7 +157,8 @@ def _check_keys(obj: dict, required: set[str], allowed: set[str], what: str) -> 
 
 
 def _read_array(zf: zipfile.ZipFile, path: str | Path, spec) -> np.ndarray:
-    if not isinstance(spec, dict) or not {"name", "file", "shape"} <= set(spec):
+    if (not isinstance(spec, dict) or not {"name", "file", "shape"} <= set(spec)
+            or not isinstance(spec["name"], str)):
         raise ValidationError(f"{path} manifest has a malformed params entry: {spec!r}")
     try:
         return np.load(io.BytesIO(zf.read(spec["file"])), allow_pickle=False)

@@ -122,6 +122,34 @@ def build_model(vocab: dict[str, int], charges: Sequence[str], cfg: ModelConfig,
     return Model(cfg, table, sorted(charges), params)
 
 
+def param_shapes(cfg: ModelConfig, vocab_size: int,
+                 charges: Sequence[str]) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter of a model built by :func:`build_model`
+    with this config, vocabulary size and charges (attention weights stacked)."""
+    d = cfg.d
+    shapes: dict[str, tuple[int, ...]] = {"embed": (vocab_size, d), "pos": (cfg.context, d)}
+
+    def attention_block(block: str, heads: int) -> None:
+        dh = d // heads
+        shapes.update({f"{block}.Wq": (heads, d, dh), f"{block}.Wk": (heads, d, dh),
+                       f"{block}.Wv": (heads, d, dh), f"{block}.Wo": (heads, dh, d)})
+
+    attention_block("enc.attn", cfg.enc_heads)
+    for name in ("enc.G1", "enc.G2", "enc.gate", *(f"enc.charge.{c}" for c in charges)):
+        shapes.update({f"{name}.W": (d, d), f"{name}.b": (d,)})
+    shapes.update({"enc.fusion.W": (2 * d, d), "enc.fusion.b": (d,)})
+    for layer in range(cfg.layers):
+        block = f"dec.{layer}"
+        attention_block(f"{block}.attn", cfg.dec_heads)
+        for norm in ("ln1", "ln2"):
+            shapes.update({f"{block}.{norm}.g": (d,), f"{block}.{norm}.b": (d,)})
+        shapes.update({f"{block}.ffn.W1": (d, 4 * d), f"{block}.ffn.b1": (4 * d,),
+                       f"{block}.ffn.W2": (4 * d, d), f"{block}.ffn.b2": (d,)})
+    shapes.update({"dec.lnf.g": (d,), "dec.lnf.b": (d,),
+                   "dec.out.W": (d, vocab_size), "dec.out.b": (vocab_size,)})
+    return shapes
+
+
 def _format1_heads(block: str, heads: int, d: int) -> list[tuple[str, str, tuple[int, int]]]:
     """Checkpoint-format-1 weights of one attention block, in the order
     :func:`build_model` draws them: (stacked name, per-head name, shape)."""
@@ -199,11 +227,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return centered / T.sqrt(var + eps) * gain + bias
 
 
-def decoder_forward(x: Tensor, params: Mapping[str, Tensor], cfg: ModelConfig) -> Tensor:
-    """Full-sequence causal decoder; returns logits for every row."""
+def decoder_forward(x: Tensor, params: Mapping[str, Tensor], cfg: ModelConfig,
+                    first_row: int = 0) -> Tensor:
+    """Full-sequence causal decoder; returns logits for rows ``first_row:``.
+
+    Every row runs through the blocks (later rows attend to earlier ones),
+    but the final layer norm and output head are row-wise, so only the rows
+    asked for are projected to the vocabulary.  The default returns all rows.
+    """
     rows = x.shape[0]
     if rows > cfg.context:
         raise CapacityError(f"sequence of {rows} rows exceeds context {cfg.context}")
+    if not 0 <= first_row < rows:
+        raise ContractError(f"first_row {first_row} is outside [0, {rows})")
     mask = Tensor(_causal_mask(rows))
     for layer in range(cfg.layers):
         h = layer_norm(x, params[f"dec.{layer}.ln1.g"], params[f"dec.{layer}.ln1.b"])
@@ -212,6 +248,8 @@ def decoder_forward(x: Tensor, params: Mapping[str, Tensor], cfg: ModelConfig) -
         h2 = layer_norm(x, params[f"dec.{layer}.ln2.g"], params[f"dec.{layer}.ln2.b"])
         inner = T.relu(T.matmul(h2, params[f"dec.{layer}.ffn.W1"]) + params[f"dec.{layer}.ffn.b1"])
         x = x + T.matmul(inner, params[f"dec.{layer}.ffn.W2"]) + params[f"dec.{layer}.ffn.b2"]
+    if first_row:
+        x = T.gather_rows(x, np.arange(first_row, rows))
     x = layer_norm(x, params["dec.lnf.g"], params["dec.lnf.b"])
     return T.matmul(x, params["dec.out.W"]) + params["dec.out.b"]
 
@@ -280,10 +318,10 @@ def joint_loss(batch: Sequence[tuple], model: Model, alpha: float = 1.0, beta: f
         if len(target) > 1:
             x = T.concat([combined, T.gather_rows(table.matrix, target[:-1])], axis=0)
         x = add_positions(x, n, model.params, model.cfg)
-        logits = decoder_forward(x, model.params, model.cfg)
+        # Row prefix_len - 1 + j predicts target[j]; only those rows are scored.
+        logits = decoder_forward(x, model.params, model.cfg, first_row=prefix_len - 1)
         logp = T.log_softmax_rows(logits)
-        rows = np.arange(prefix_len - 1, prefix_len - 1 + len(target))
-        ll = T.pick(logp, rows, target)
+        ll = T.pick(logp, np.arange(len(target)), target)
         case_sum = T.tsum(ll)
         sum_reasoning = case_sum if sum_reasoning is None else sum_reasoning + case_sum
         token_count += len(target)
@@ -299,8 +337,9 @@ def joint_loss(batch: Sequence[tuple], model: Model, alpha: float = 1.0, beta: f
                 )
             continue
         a, b = interval
-        ll_mask = T.pick(logp, rows[a:b], target[a:b])
-        mask_sum = T.tsum(ll_mask)
+        in_span = np.zeros(len(target))
+        in_span[a:b] = 1.0
+        mask_sum = T.tsum(ll * Tensor(in_span))
         sum_sentencing = mask_sum if sum_sentencing is None else sum_sentencing + mask_sum
         mask_count += b - a
     reasoning = sum_reasoning * (-1.0 / token_count)

@@ -304,9 +304,10 @@ def log_softmax_rows(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"log_softmax_rows expects a matrix, got shape {a.data.shape}")
     z = a.data - a.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    out = Tensor(z - lse)
-    s = np.exp(z - lse)
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
+    out = Tensor(z - np.log(total))
+    s = e / total
 
     def bw(g):
         return (g - s * g.sum(axis=1, keepdims=True),)

@@ -1,6 +1,7 @@
 """Command-line surface: every subcommand end to end, exit codes, the
 environment config file, and byte-level reproducibility of outputs."""
 
+import io
 import json
 import os
 import shutil
@@ -11,6 +12,7 @@ import zipfile
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lexchain
@@ -366,13 +368,15 @@ class TestGenerate:
                      "--chains", str(workspace["chains"])]) == 3
 
 
-def _corrupted_checkpoint(source: Path, target: Path, edit=None, drop=()) -> Path:
-    """Copy a checkpoint archive, editing its manifest and dropping entries."""
+def _corrupted_checkpoint(source: Path, target: Path, edit=None, drop=(),
+                          replace=None) -> Path:
+    """Copy a checkpoint archive, editing its manifest, dropping entries and
+    replacing the payload of others."""
     with zipfile.ZipFile(source) as zin, zipfile.ZipFile(target, "w") as zout:
         for name in zin.namelist():
             if name in drop:
                 continue
-            data = zin.read(name)
+            data = replace[name] if replace and name in replace else zin.read(name)
             if name == "manifest.json" and edit is not None:
                 manifest = json.loads(data)
                 edit(manifest)
@@ -435,6 +439,34 @@ class TestCorruptCheckpoint:
         code, err = self._generate(workspace, ckpt, capsys)
         assert code == 2
         assert "embed" in err
+
+    def test_missing_parameter(self, workspace, tmp_path, capsys):
+        """Any parameter the config implies, not only ``embed``, must be there."""
+        ckpt = _corrupted_checkpoint(
+            workspace["checkpoint"], tmp_path / "m.ckpt",
+            edit=lambda m: m.update(params=[p for p in m["params"] if p["name"] != "dec.lnf.g"]))
+        code, err = self._generate(workspace, ckpt, capsys)
+        assert code == 2
+        assert "missing ['dec.lnf.g']" in err
+
+    def test_misshapen_parameter(self, workspace, tmp_path, capsys):
+        """An array whose shape agrees with the manifest but not with the
+        config is rejected too."""
+        with zipfile.ZipFile(workspace["checkpoint"]) as zf:
+            manifest = json.loads(zf.read("manifest.json"))
+        spec = next(p for p in manifest["params"] if p["name"] == "dec.0.ffn.W1")
+        d = manifest["config"]["d"]
+        buf = io.BytesIO()
+        np.save(buf, np.zeros((d, 2 * d)), allow_pickle=False)
+
+        def reshape(m):
+            next(p for p in m["params"] if p["name"] == "dec.0.ffn.W1")["shape"] = [d, 2 * d]
+
+        ckpt = _corrupted_checkpoint(workspace["checkpoint"], tmp_path / "m.ckpt", edit=reshape,
+                                     replace={spec["file"]: buf.getvalue()})
+        code, err = self._generate(workspace, ckpt, capsys)
+        assert code == 2
+        assert f"dec.0.ffn.W1 ({d}, {2 * d}) != ({d}, {4 * d})" in err
 
     def test_untouched_copy_still_loads(self, workspace, tmp_path, capsys):
         ckpt = _corrupted_checkpoint(workspace["checkpoint"], tmp_path / "m.ckpt")

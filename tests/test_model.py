@@ -32,8 +32,10 @@ from lexchain.model import (
     joint_loss,
     layer_norm,
     mark_sentencing_span,
+    param_shapes,
 )
-from lexchain.tensor import Tape, Tensor, backward, tsum
+from lexchain.tensor import (Tape, Tensor, backward, concat, gather_rows, log_softmax_rows,
+                             pick, tsum)
 
 
 def _chain_set():
@@ -227,6 +229,15 @@ class TestLayerNorm:
         np.testing.assert_allclose(out.std(axis=1), 1.0, atol=1e-3)
 
 
+def _case_input(model, chains, record):
+    """The teacher-forced decoder input of one case and its prefix length."""
+    encoded = encode_chain_set(chains, model.table, model.params, model.cfg.enc_heads)
+    combined = combine(encoded, record.fact, model.table)
+    target = model.table.encode(record.opinion)
+    x = concat([combined, gather_rows(model.table.matrix, target)], axis=0)
+    return add_positions(x, encoded.n, model.params, model.cfg), combined.shape[0]
+
+
 class TestDecoder:
     def test_graph_and_numpy_paths_agree(self):
         model, _, _ = _fixture()
@@ -264,6 +275,40 @@ class TestDecoder:
         with pytest.raises(CapacityError):
             decoder_forward(Tensor(np.zeros((5, model.cfg.d))), model.params, model.cfg)
 
+    def test_first_row_returns_the_tail_rows_and_their_gradients(self):
+        """Logits from ``first_row`` on, and the gradients of any scalar of
+        them, equal those of the full forward sliced at that row."""
+        model, chains, cases = _fixture()
+        x, prefix_len = _case_input(model, chains, cases[0])
+        rows = x.shape[0]
+        full = decoder_forward(x, model.params, model.cfg).data
+        leaves = list(model.params.values())
+        for k in (1, prefix_len - 1, rows - 1):
+            weights = Tensor(np.random.default_rng(k).normal(size=(rows - k, model.vocab_size)))
+
+            def grads(first_row):
+                with Tape() as tape:
+                    tape.watch(*leaves)
+                    logits = decoder_forward(x, model.params, model.cfg, first_row=first_row)
+                    if first_row == 0:
+                        logits = gather_rows(logits, np.arange(k, rows))
+                    backward(tape, tsum(logits * weights))
+                return logits.data, [t.grad.copy() for t in leaves]
+
+            tail, tail_grads = grads(k)
+            assert tail.shape == (rows - k, model.vocab_size)
+            np.testing.assert_allclose(tail, full[k:], rtol=0, atol=1e-12)
+            _, full_grads = grads(0)
+            for t, a, b in zip(leaves, tail_grads, full_grads):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=t.name)
+
+    @pytest.mark.parametrize("first_row", [-1, 7])
+    def test_first_row_outside_the_rows_rejected(self, first_row):
+        model, _, _ = _fixture()
+        with pytest.raises(ContractError):
+            decoder_forward(Tensor(np.zeros((7, model.cfg.d))), model.params, model.cfg,
+                            first_row=first_row)
+
 
 class TestSentencingSpan:
     def test_english_clause(self):
@@ -287,7 +332,78 @@ class TestSentencingSpan:
         assert tokenize(text)[interval[0]] == "48"
 
 
+def _full_row_joint_loss(batch, model, alpha=1.0, beta=1.0):
+    """The joint loss as first written: logits and log-probabilities for every
+    row of the combined sequence, then one ``pick`` of the target rows and a
+    second ``pick`` of the sentencing rows.  Returns (total, reasoning,
+    sentencing)."""
+    eos = model.table.vocab["<eos>"]
+    encodings = {}
+    sum_reasoning = sum_sentencing = None
+    token_count = mask_count = 0
+    for record, chain_set in batch:
+        encoded = None
+        if chain_set is not None:
+            if id(chain_set) not in encodings:
+                encodings[id(chain_set)] = encode_chain_set(
+                    chain_set, model.table, model.params, model.cfg.enc_heads)
+            encoded = encodings[id(chain_set)]
+        combined = combine(encoded, record.fact, model.table)
+        prefix_len = combined.shape[0]
+        target = model.table.encode(record.opinion) + [eos]
+        x = concat([combined, gather_rows(model.table.matrix, target[:-1])], axis=0)
+        x = add_positions(x, encoded.n if encoded else 0, model.params, model.cfg)
+        logp = log_softmax_rows(decoder_forward(x, model.params, model.cfg))
+        rows = np.arange(prefix_len - 1, prefix_len - 1 + len(target))
+        case_sum = tsum(pick(logp, rows, target))
+        sum_reasoning = case_sum if sum_reasoning is None else sum_reasoning + case_sum
+        token_count += len(target)
+        interval = mark_sentencing_span(record.opinion)
+        if interval is None:
+            continue
+        a, b = interval
+        span_sum = tsum(pick(logp, rows[a:b], target[a:b]))
+        sum_sentencing = span_sum if sum_sentencing is None else sum_sentencing + span_sum
+        mask_count += b - a
+    reasoning = sum_reasoning * (-1.0 / token_count)
+    sentencing = sum_sentencing * (-1.0 / mask_count) if mask_count else Tensor(0.0)
+    return alpha * reasoning + beta * sentencing, reasoning, sentencing
+
+
 class TestJointLoss:
+    @pytest.mark.parametrize("beta", [1.0, 0.0])
+    def test_matches_the_full_row_formulation(self, beta):
+        """Scoring only the target rows gives the loss terms and gradients of
+        scoring every row, on a batch with and without chain sets; at beta=0
+        the batch also holds a case with no sentencing span."""
+        model, chains, cases = _fixture()
+        batch = [(cases[0], chains), (cases[1], None), (cases[1], chains)]
+        if beta == 0.0:
+            batch.append((CaseRecord(case_id="bare", fact="goods were taken",
+                                     charge="toyoffense", opinion="the court orders nothing",
+                                     sentence_months=0, sentencing_span=None,
+                                     defendant="the man"), chains))
+        leaves = list(model.params.values())
+
+        def terms_and_grads(loss_fn):
+            with Tape() as tape:
+                tape.watch(*leaves)
+                terms = loss_fn()
+                backward(tape, terms[0])
+            return [t.item() for t in terms], [t.grad.copy() for t in leaves]
+
+        def scored_rows_only():
+            losses = joint_loss(batch, model, alpha=1.0, beta=beta)
+            return losses.total, losses.reasoning, losses.sentencing
+
+        got, got_grads = terms_and_grads(scored_rows_only)
+        want, want_grads = terms_and_grads(lambda: _full_row_joint_loss(batch, model, 1.0, beta))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        if beta == 0.0:
+            assert got[2] > 0.0  # the spans present still count towards the term
+        for t, a, b in zip(leaves, got_grads, want_grads):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=t.name)
+
     def test_matches_numpy_recomputation(self):
         """Independent recomputation of both loss terms for one case."""
         model, chains, cases = _fixture()
@@ -575,6 +691,85 @@ class TestCheckpoint:
                 dst.writestr(name, payload)
         with pytest.raises(ValidationError):
             load_checkpoint(future)
+
+    def test_param_shapes_describe_build_model(self):
+        model, _, _ = _fixture(d=16, heads=4, layers=3)
+        shapes = param_shapes(model.cfg, model.vocab_size, model.charges)
+        assert shapes == {name: t.shape for name, t in model.params.items()}
+
+    def test_extra_or_misshapen_parameter_rejected(self, tmp_path):
+        model, _, _ = _fixture()
+        for name, array in (("dec.2.ffn.W1", np.zeros((16, 64))),
+                            ("dec.out.b", np.zeros(model.vocab_size + 1))):
+            bad = copy.copy(model)
+            bad.params = dict(model.params, **{name: Tensor(array, name=name)})
+            path = tmp_path / "bad.zip"
+            save_checkpoint(path, bad)
+            with pytest.raises(ValidationError, match=name):
+                load_checkpoint(path)
+
+    def test_auto_registered_charge_round_trips(self, tmp_path):
+        """A charge added by training's auto-registration is not listed among
+        the model's charges, yet its weights are saved and load back."""
+        model, chains, cases = _fixture()
+        foreign = ChainSet(charge="othercharge", chains=chains.chains)
+        joint_loss([(cases[0], foreign)], model)
+        assert "enc.charge.othercharge.W" in model.params
+        assert model.charges == ["toyoffense"]
+        path = tmp_path / "model.zip"
+        save_checkpoint(path, model)
+        loaded, _ = load_checkpoint(path)
+        assert sorted(loaded.params) == sorted(model.params)
+        model.params.pop("enc.charge.othercharge.b")
+        save_checkpoint(path, model)
+        with pytest.raises(ValidationError, match="enc.charge.othercharge.b"):
+            load_checkpoint(path)
+
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        model, _, _ = _fixture()
+        path = tmp_path / "model.zip"
+        save_checkpoint(path, model, extra={"epoch": 1})
+        before = path.read_bytes()
+        model.params["dec.out.b"].data += 1.0
+        saved = []
+        real_save = np.save
+
+        def failing_save(*args, **kwargs):
+            saved.append(args[1])
+            if len(saved) == 3:
+                raise OSError("disk full")
+            return real_save(*args, **kwargs)
+
+        monkeypatch.setattr(np, "save", failing_save)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, model, extra={"epoch": 2})
+        assert len(saved) == 3
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.zip"]
+        monkeypatch.undo()
+        save_checkpoint(path, model, extra={"epoch": 2})
+        assert load_checkpoint(path)[1] == {"epoch": 2}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.zip"]
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m["charges"].append(["toyoffense"]),
+        lambda m: m["vocab"].append({"token": 1}),
+        lambda m: m["params"][0].update(name=["embed"]),
+    ], ids=["charge", "vocab", "param-name"])
+    def test_non_string_manifest_entries_rejected(self, tmp_path, edit):
+        """Unhashable names in the manifest are a ValidationError, not a TypeError."""
+        model, _, _ = _fixture()
+        path = tmp_path / "model.zip"
+        save_checkpoint(path, model)
+        manifest = json.loads(zipfile.ZipFile(path).read("manifest.json"))
+        edit(manifest)
+        bad = tmp_path / "bad.zip"
+        with zipfile.ZipFile(path) as src, zipfile.ZipFile(bad, "w") as dst:
+            for name in src.namelist():
+                dst.writestr(name, json.dumps(manifest) if name == "manifest.json"
+                             else src.read(name))
+        with pytest.raises(ValidationError):
+            load_checkpoint(bad)
 
     def test_rejects_foreign_zip(self, tmp_path):
         import zipfile
