@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ContractError, ExtractionError, ParseError, ValidationError
+from .errors import ContractError, ExtractionError, ParseError, ValidationError, parse_json
 from .tokenizer import tokenize
 
 # ---------------------------------------------------------------------------
@@ -90,6 +90,11 @@ def expr_to_json(expr: ConditionExpr):
 
 
 def expr_from_json(obj, where: str = "expr") -> ConditionExpr:
+    """Condition tree from its JSON form; nesting past ``MAX_NESTING`` is a ParseError."""
+    return _expr_from_json(obj, where, 0)
+
+
+def _expr_from_json(obj, where: str, depth: int) -> ConditionExpr:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ParseError("condition must be an object with exactly one key", field=where)
     key, value = next(iter(obj.items()))
@@ -100,7 +105,10 @@ def expr_from_json(obj, where: str = "expr") -> ConditionExpr:
     if key in ("and", "or"):
         if not isinstance(value, list) or len(value) < 2:
             raise ParseError(f"{key.upper()} needs a list of at least 2 children", field=where)
-        return Node(key, tuple(expr_from_json(c, f"{where}.{key}[{i}]") for i, c in enumerate(value)))
+        if depth == MAX_NESTING:
+            raise ParseError(f"condition nests AND/OR more than {MAX_NESTING} deep", field=where)
+        return Node(key, tuple(_expr_from_json(c, f"{where}.{key}[{i}]", depth + 1)
+                               for i, c in enumerate(value)))
     raise ParseError(f"unknown condition key {key!r}", field=where)
 
 
@@ -119,8 +127,9 @@ def expr_to_text(expr: ConditionExpr) -> str:
 
 
 _INFIX_SPLIT = re.compile(r"(\(|\)|\bAND\b|\bOR\b)")
-# Deepest parenthesis nesting parse_infix accepts; each level costs three
-# stack frames, so deeper text would otherwise exhaust the recursion limit.
+# Deepest parenthesis nesting parse_infix accepts, and deepest AND/OR nesting
+# expr_from_json accepts; each level costs two or three stack frames, so deeper
+# input would otherwise exhaust the recursion limit.
 MAX_NESTING = 100
 
 
@@ -273,10 +282,8 @@ def _require(obj: dict, key: str, kind, where: str):
 
 def parse_chain_file(text: str) -> ChainSet:
     """Parse the chain-file JSON document; raises on schema or range violations."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"chain file is not valid JSON: {exc.msg}", line=exc.lineno) from exc
+    doc = parse_json(text, lambda reason, line: ParseError(
+        f"chain file is not valid JSON: {reason}", line=line))
     if not isinstance(doc, dict):
         raise ParseError("chain file must be a JSON object", field="$")
     charge = _require(doc, "charge", str, "$")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EmbeddingTable
-from .errors import ValidationError
+from .errors import ValidationError, parse_json
 from .model import Model, ModelConfig, param_shapes, stack_heads
 from .tensor import Tensor
 
@@ -105,11 +105,13 @@ def load_checkpoint(path: str | Path) -> tuple[Model, dict]:
 def _read_manifest(zf: zipfile.ZipFile, path: str | Path) -> dict:
     """The archive's manifest, with its keys and config keys checked."""
     try:
-        manifest = json.loads(zf.read("manifest.json").decode("utf-8"))
+        text = zf.read("manifest.json").decode("utf-8")
     except KeyError as exc:
         raise ValidationError(f"{path} has no manifest.json") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} has an unreadable manifest.json: {exc}") from exc
+    manifest = parse_json(text, lambda reason, _: ValidationError(
+        f"{path} has an unreadable manifest.json: {reason}"))
     if not isinstance(manifest, dict) or manifest.get("kind") != "lexchain-checkpoint":
         raise ValidationError(f"{path} is not a model checkpoint")
     version = manifest.get("format_version")

@@ -30,7 +30,7 @@ from .chains import (
 from .client import CompletionClient
 from .corpus import load_jsonl, save_jsonl, split, synthesize_corpus
 from .checkpoint import load_checkpoint
-from .errors import ConfigurationError, LexchainError, UsageError
+from .errors import ConfigurationError, LexchainError, UsageError, parse_json
 from .metrics import evaluate_outputs, screen_corpus
 from .model import decode_case
 from .training import TrainConfig, gradcheck_full_pipeline, train
@@ -67,10 +67,8 @@ def _read_opinions(path: str) -> dict[str, str]:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"{path}:{lineno}: not valid JSON: {exc.msg}") from exc
+            row = parse_json(line, lambda reason, _: UsageError(
+                f"{path}:{lineno}: not valid JSON: {reason}"))
             if not isinstance(row, dict) or "case_id" not in row or "opinion" not in row:
                 raise UsageError(f"{path}:{lineno}: each line needs case_id and opinion")
             case_id = str(row["case_id"])
@@ -377,10 +375,8 @@ def _apply_env_config(parser: _Parser, argv: list[str]) -> None:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {CONFIG_ENV} file {path!r}: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{CONFIG_ENV} file {path!r} is not valid JSON: {exc.msg}") from exc
+    doc = parse_json(raw, lambda reason, _: UsageError(
+        f"{CONFIG_ENV} file {path!r} is not valid JSON: {reason}"))
     if not isinstance(doc, dict):
         raise UsageError(f"{CONFIG_ENV} file {path!r} must hold a JSON object")
     command = next((a for a in argv if not a.startswith("-")), None)

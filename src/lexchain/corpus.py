@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .chains import ChainSet, expr_labels
-from .errors import ContractError, ParseError, ValidationError
+from .errors import ContractError, ParseError, ValidationError, parse_json
 
 _MONTHS_FIGURE_RE = re.compile(r"\d+")
 
@@ -63,6 +63,8 @@ _REQUIRED_FIELDS = {
 
 
 def _record_from_dict(obj: dict, line_no: int) -> CaseRecord:
+    if not isinstance(obj, dict):
+        raise ParseError("a case record must be a JSON object", line=line_no)
     for key, kind in _REQUIRED_FIELDS.items():
         if key not in obj:
             raise ParseError(f"missing required key {key!r}", line=line_no)
@@ -109,10 +111,8 @@ def load_jsonl(path: str | Path, lenient: bool = False) -> list[CaseRecord]:
             if not line.strip():
                 continue
             try:
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"invalid JSON: {exc.msg}", line=line_no) from exc
+                obj = parse_json(line, lambda reason, _: ParseError(f"invalid JSON: {reason}",
+                                                                    line=line_no))
                 record = _record_from_dict(obj, line_no)
                 if record.case_id in first_line:
                     raise ParseError(f"duplicate case_id {record.case_id!r}, first at line "

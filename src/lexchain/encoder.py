@@ -114,14 +114,12 @@ class EncodedChainSet:
 
 
 def attention(h: Tensor, params: Mapping[str, Tensor], prefix: str, heads: int,
-              mask: Tensor | None = None) -> tuple[Tensor, Tensor]:
-    """Multi-head self-attention over the rows of ``h``, every head at once.
-
-    The weights under ``prefix`` carry the head on their leading axis:
+              mask: np.ndarray | None = None,
+              cache: T.KVCache | None = None) -> tuple[Tensor, np.ndarray]:
+    """:func:`tensor.attention` with the weights under ``prefix``, whose
     ``Wq``/``Wk``/``Wv`` are (heads, d, dh) and ``Wo`` is (heads, dh, d).
-    ``mask`` is added to the scores of every head.  Returns the summed head
-    outputs (rows x d) and the (heads, rows, rows) attention probabilities.
-    """
+    Returns the summed head outputs (rows x d) and the (heads, rows, keys)
+    attention probabilities."""
     d = h.shape[1]
     if d % heads != 0:
         raise ShapeError(f"head count {heads} must divide model dimension {d}")
@@ -129,15 +127,8 @@ def attention(h: Tensor, params: Mapping[str, Tensor], prefix: str, heads: int,
     wq = params[f"{prefix}.Wq"]
     if wq.shape != (heads, d, dh):
         raise ShapeError(f"{prefix}.Wq has shape {wq.shape}, expected {(heads, d, dh)}")
-    q = T.matmul(h, wq)
-    k = T.matmul(h, params[f"{prefix}.Wk"])
-    v = T.matmul(h, params[f"{prefix}.Wv"])
-    scores = T.matmul(q, T.transpose(k)) * (1.0 / np.sqrt(dh))
-    if mask is not None:
-        scores = scores + mask
-    probs = T.softmax_rows(scores)
-    out = T.tsum(T.matmul(T.matmul(probs, v), params[f"{prefix}.Wo"]), axis=0)
-    return out, probs
+    return T.attention(h, wq, params[f"{prefix}.Wk"], params[f"{prefix}.Wv"],
+                       params[f"{prefix}.Wo"], mask, cache)
 
 
 _CHAIN_CONSTANTS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -168,11 +159,11 @@ def _encode_pooled(chains: Sequence[LegalChain], table: EmbeddingTable,
              for text in (chain.premise_text, chain.situation_text, chain.conclusion_text())]
     h = embed_components(texts, table)
     mask, pool = _chain_constants(n)
-    attn_out, probs = attention(h, params, "enc.attn", heads, Tensor(mask))
+    attn_out, probs = attention(h, params, "enc.attn", heads, mask)
     if dropout_rate:
         attn_out = T.dropout(attn_out, dropout_rate, rng)
     r = T.matmul(Tensor(pool), h + attn_out)
-    mean_probs = probs.data.mean(axis=0)
+    mean_probs = probs.mean(axis=0)
     return r, [mean_probs[i:i + 3, i:i + 3] for i in range(0, 3 * n, 3)]
 
 

@@ -4,6 +4,9 @@ The CLI maps these onto exit codes: usage problems exit 1, contract and
 validation failures exit 2, and I/O failures (plain ``OSError``) exit 3.
 """
 
+import json
+from typing import Callable
+
 
 class LexchainError(Exception):
     """Base class for all package-specific errors."""
@@ -55,3 +58,14 @@ class CapacityError(LexchainError):
 
 class ConfigurationError(LexchainError):
     """Runtime configuration is inconsistent (e.g. missing chain set for a charge)."""
+
+
+def parse_json(text: str, error: Callable[[str, int | None], LexchainError]):
+    """``json.loads`` of outside input: malformed JSON, and JSON nested too
+    deeply for the decoder, raise ``error(reason, line or None)``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(exc.msg, exc.lineno) from exc
+    except RecursionError as exc:
+        raise error("nested too deeply", None) from exc

@@ -209,48 +209,49 @@ def add_positions(x: Tensor, n_chain_rows: int, params: Mapping[str, Tensor],
     return x + pos_rows
 
 
-_MASK_CACHE: dict[int, np.ndarray] = {}
+_MASK_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
-def _causal_mask(size: int) -> np.ndarray:
-    mask = _MASK_CACHE.get(size)
+def _causal_mask(rows: int, past: int) -> np.ndarray:
+    """(rows, past + rows) additive mask: row i, after ``past`` cached rows, sees keys 0..past+i."""
+    mask = _MASK_CACHE.get((rows, past))
     if mask is None:
-        mask = np.triu(np.full((size, size), MASK_VALUE), k=1)
-        _MASK_CACHE[size] = mask
+        mask = np.triu(np.full((rows, past + rows), MASK_VALUE), k=past + 1)
+        _MASK_CACHE[(rows, past)] = mask
     return mask
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = T.tmean(x, axis=1, keepdims=True)
-    centered = x - mu
-    var = T.tmean(centered * centered, axis=1, keepdims=True)
-    return centered / T.sqrt(var + eps) * gain + bias
-
-
 def decoder_forward(x: Tensor, params: Mapping[str, Tensor], cfg: ModelConfig,
-                    first_row: int = 0) -> Tensor:
-    """Full-sequence causal decoder; returns logits for rows ``first_row:``.
+                    first_row: int = 0, caches: Sequence[T.KVCache] | None = None) -> Tensor:
+    """Causal decoder over the rows of ``x``; returns logits for rows ``first_row:``.
 
     Every row runs through the blocks (later rows attend to earlier ones),
     but the final layer norm and output head are row-wise, so only the rows
     asked for are projected to the vocabulary.  The default returns all rows.
+
+    ``caches`` (one :class:`tensor.KVCache` per layer; tape-free only) hold
+    earlier rows, which the rows of ``x`` follow and attend to.
     """
     rows = x.shape[0]
-    if rows > cfg.context:
-        raise CapacityError(f"sequence of {rows} rows exceeds context {cfg.context}")
+    past = caches[0].used if caches else 0
+    if past + rows > cfg.context:
+        raise CapacityError(f"sequence of {past + rows} rows exceeds context {cfg.context}")
     if not 0 <= first_row < rows:
         raise ContractError(f"first_row {first_row} is outside [0, {rows})")
-    mask = Tensor(_causal_mask(rows))
+    # A single row may attend to every earlier row, so it needs no mask.
+    mask = _causal_mask(rows, past) if rows > 1 else None
     for layer in range(cfg.layers):
-        h = layer_norm(x, params[f"dec.{layer}.ln1.g"], params[f"dec.{layer}.ln1.b"])
-        attn_out, _ = attention(h, params, f"dec.{layer}.attn", cfg.dec_heads, mask)
+        block = f"dec.{layer}"
+        h = T.layer_norm(x, params[f"{block}.ln1.g"], params[f"{block}.ln1.b"])
+        attn_out, _ = attention(h, params, f"{block}.attn", cfg.dec_heads, mask,
+                                caches[layer] if caches else None)
         x = x + attn_out
-        h2 = layer_norm(x, params[f"dec.{layer}.ln2.g"], params[f"dec.{layer}.ln2.b"])
-        inner = T.relu(T.matmul(h2, params[f"dec.{layer}.ffn.W1"]) + params[f"dec.{layer}.ffn.b1"])
-        x = x + T.matmul(inner, params[f"dec.{layer}.ffn.W2"]) + params[f"dec.{layer}.ffn.b2"]
+        h2 = T.layer_norm(x, params[f"{block}.ln2.g"], params[f"{block}.ln2.b"])
+        inner = T.relu(T.matmul(h2, params[f"{block}.ffn.W1"]) + params[f"{block}.ffn.b1"])
+        x = x + T.matmul(inner, params[f"{block}.ffn.W2"]) + params[f"{block}.ffn.b2"]
     if first_row:
         x = T.gather_rows(x, np.arange(first_row, rows))
-    x = layer_norm(x, params["dec.lnf.g"], params["dec.lnf.b"])
+    x = T.layer_norm(x, params["dec.lnf.g"], params["dec.lnf.b"])
     return T.matmul(x, params["dec.out.W"]) + params["dec.out.b"]
 
 
@@ -353,7 +354,7 @@ def joint_loss(batch: Sequence[tuple], model: Model, alpha: float = 1.0, beta: f
 
 
 # ---------------------------------------------------------------------------
-# Generation (gradient-free fast path with per-block KV caches)
+# Generation (tape-free, with a KV cache per decoder layer)
 # ---------------------------------------------------------------------------
 
 
@@ -365,58 +366,11 @@ class OpinionOutput:
     extracted_months: int | None
 
 
-def _np_layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    mu = x.mean(axis=1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * g + b
-
-
-class _BlockCache:
-    __slots__ = ("k", "v", "used")
-
-    def __init__(self, context: int, heads: int, dh: int):
-        self.k = np.empty((heads, context, dh))
-        self.v = np.empty((heads, context, dh))
-        self.used = 0
-
-
-def _step_or_prefill(x: np.ndarray, data: Mapping[str, np.ndarray], cfg: ModelConfig,
-                     caches: list[_BlockCache]) -> np.ndarray:
-    """Run rows through the decoder, appending K/V to the caches.
-
-    ``x`` may hold several rows (prefill) or one (a generation step); rows
-    attend to everything already cached plus themselves causally.
-    """
-    rows = x.shape[0]
-    dh = cfg.d // cfg.dec_heads
-    scale = 1.0 / np.sqrt(dh)
-    for layer in range(cfg.layers):
-        cache = caches[layer]
-        start = cache.used
-        end = start + rows
-        h = _np_layer_norm(x, data[f"dec.{layer}.ln1.g"], data[f"dec.{layer}.ln1.b"])
-        q = h @ data[f"dec.{layer}.attn.Wq"]
-        cache.k[:, start:end] = h @ data[f"dec.{layer}.attn.Wk"]
-        cache.v[:, start:end] = h @ data[f"dec.{layer}.attn.Wv"]
-        scores = q @ np.swapaxes(cache.k[:, :end], 1, 2) * scale
-        if rows > 1:
-            scores = scores + np.triu(np.full((rows, end), MASK_VALUE), k=start + 1)
-        z = scores - scores.max(axis=2, keepdims=True)
-        probs = np.exp(z)
-        probs /= probs.sum(axis=2, keepdims=True)
-        x = x + ((probs @ cache.v[:, :end]) @ data[f"dec.{layer}.attn.Wo"]).sum(axis=0)
-        cache.used = end
-        h2 = _np_layer_norm(x, data[f"dec.{layer}.ln2.g"], data[f"dec.{layer}.ln2.b"])
-        inner = np.maximum(h2 @ data[f"dec.{layer}.ffn.W1"] + data[f"dec.{layer}.ffn.b1"], 0.0)
-        x = x + inner @ data[f"dec.{layer}.ffn.W2"] + data[f"dec.{layer}.ffn.b2"]
-    x = _np_layer_norm(x, data["dec.lnf.g"], data["dec.lnf.b"])
-    return x @ data["dec.out.W"] + data["dec.out.b"]
-
-
 def generate(model: Model, combined: Tensor, n_chain_rows: int, max_len: int = 96,
              mode: str = "greedy", seed: int = 0, top_k: int = 10) -> OpinionOutput:
     """Autoregressive decode conditioned on the combined prefix.
 
+    The prefix fills a KV cache per layer; each new token then runs alone.
     Greedy mode is deterministic; ``top-k`` samples from the renormalized top
     ``top_k`` logits using the given seed.  Decoding stops at ``<eos>``, at
     ``max_len`` tokens, or when the context fills up.
@@ -424,18 +378,14 @@ def generate(model: Model, combined: Tensor, n_chain_rows: int, max_len: int = 9
     if mode not in ("greedy", "top-k"):
         raise ContractError(f"unknown decode mode {mode!r}")
     cfg = model.cfg
-    prefix_len = combined.shape[0]
-    if prefix_len > cfg.context:
-        raise CapacityError(f"prefix of {prefix_len} rows exceeds context {cfg.context}")
-    data = {name: t.data for name, t in model.params.items()}
+    params = model.params
     eos = model.table.vocab["<eos>"]
     rng = np.random.default_rng(seed)
-    x0 = combined.data.copy()
-    if prefix_len > n_chain_rows:
-        x0[n_chain_rows:] += data["pos"][n_chain_rows:prefix_len]
+    prefix_len = combined.shape[0]
+    x = add_positions(combined, n_chain_rows, params, cfg)
     dh = cfg.d // cfg.dec_heads
-    caches = [_BlockCache(cfg.context, cfg.dec_heads, dh) for _ in range(cfg.layers)]
-    logits = _step_or_prefill(x0, data, cfg, caches)[-1]
+    caches = [T.KVCache(cfg.context, cfg.dec_heads, dh) for _ in range(cfg.layers)]
+    logits = decoder_forward(x, params, cfg, first_row=prefix_len - 1, caches=caches).data[0]
     token_ids: list[int] = []
     position = prefix_len
     while len(token_ids) < max_len and position < cfg.context:
@@ -450,8 +400,8 @@ def generate(model: Model, combined: Tensor, n_chain_rows: int, max_len: int = 9
         if next_id == eos:
             break
         token_ids.append(next_id)
-        row = data["embed"][next_id] + data["pos"][position]
-        logits = _step_or_prefill(row[None, :], data, cfg, caches)[-1]
+        row = Tensor((params["embed"].data[next_id] + params["pos"].data[position])[None, :])
+        logits = decoder_forward(row, params, cfg, caches=caches).data[0]
         position += 1
     text = detokenize(model.table.decode(token_ids))
     return OpinionOutput(

@@ -8,7 +8,8 @@ around C-contiguous ``numpy`` arrays; all kernels are pure functions that
 return fresh tensors.
 
 Row-vector convention: vectors are 1xd matrices where a matmul is involved,
-so ``x @ W`` applies a linear map.  Kernels never mutate their inputs.
+so ``x @ W`` applies a linear map.  Kernels never mutate their input tensors;
+``attention`` appends to the ``KVCache`` it is given.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ContractError, EvaluationError, ShapeError
+from .errors import CapacityError, ContractError, EvaluationError, ShapeError
 
 Array = np.ndarray
 
@@ -28,7 +29,12 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "name", "node_id")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        self.data: Array = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+        # C-contiguous float64 arrays (kernel outputs) are kept as they are;
+        # anything else is converted, which also turns 0-d into 1-d.
+        if (type(data) is not np.ndarray or data.dtype != np.float64 or not data.ndim
+                or not data.flags.c_contiguous):
+            data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+        self.data: Array = data
         self.requires_grad = requires_grad
         self.grad: Array | None = None
         self.name = name
@@ -74,12 +80,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
 
     def __neg__(self):
         return neg(self)
@@ -139,12 +139,11 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> T
     return out
 
 
-def backward(tape: Tape, loss: Tensor) -> dict[str, Tensor]:
+def backward(tape: Tape, loss: Tensor) -> None:
     """Reverse sweep over ``tape`` from scalar ``loss``.
 
-    Sets ``.grad`` on every reached gradient-carrying tensor and returns a
-    name->gradient mapping for the tape's watched tensors; watched tensors on
-    no path to the loss get zeros.
+    Sets ``.grad`` on every reached gradient-carrying tensor; watched tensors
+    on no path to the loss get zeros.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -166,13 +165,9 @@ def backward(tape: Tape, loss: Tensor) -> dict[str, Tensor]:
                 grads[key] = gi
             reached.add(key)
             t.grad = np.ascontiguousarray(grads[key])
-    out: dict[str, Tensor] = {}
     for t in tape.watched:
         if id(t) not in reached:
             t.grad = np.zeros_like(t.data)
-        if t.name is not None:
-            out[t.name] = Tensor(t.grad)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -220,26 +215,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bw)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data / b.data)
-
-    def bw(g):
-        ga = _unbroadcast(g / b.data, a.data.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-        return ga, gb
-
-    return _record(out, (a, b), bw)
-
-
 def neg(a: Tensor) -> Tensor:
     out = Tensor(-a.data)
     return _record(out, (a,), lambda g: (-g,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    root = np.sqrt(a.data)
-    out = Tensor(root)
-    return _record(out, (a,), lambda g: (g * 0.5 / root,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -262,14 +240,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bw)
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if a.data.ndim < 2:
-        raise ShapeError(f"transpose needs at least two axes, got shape {a.data.shape}")
-    out = Tensor(np.swapaxes(a.data, -1, -2))
-    return _record(out, (a,), lambda g: (np.swapaxes(g, -1, -2),))
-
-
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
     mask = a.data > 0.0
@@ -282,21 +252,6 @@ def sigmoid(a: Tensor) -> Tensor:
     s = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
     out = Tensor(s)
     return _record(out, (a,), lambda g: (g * s * (1.0 - s),))
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Softmax over the last axis, stabilized by max subtraction."""
-    if a.data.ndim < 2:
-        raise ShapeError(f"softmax_rows needs at least two axes, got shape {a.data.shape}")
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(s)
-
-    def bw(g):
-        return (s * (g - (g * s).sum(axis=-1, keepdims=True)),)
-
-    return _record(out, (a,), bw)
 
 
 def log_softmax_rows(a: Tensor) -> Tensor:
@@ -313,6 +268,90 @@ def log_softmax_rows(a: Tensor) -> Tensor:
         return (g - s * g.sum(axis=1, keepdims=True),)
 
     return _record(out, (a,), bw)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """``(x - mean) / sqrt(var + eps) * gain + bias`` over the last axis, with
+    gain and bias of shape (d,); the backward is analytic (Ba et al., 2016)."""
+    xd = x.data
+    d = xd.shape[-1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise ShapeError(f"layer_norm over rows of {d} needs gain and bias of shape ({d},), "
+                         f"got {gain.data.shape} and {bias.data.shape}")
+    # add.reduce / d equals ndarray.mean bit for bit, without its Python wrapper.
+    centered = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d
+    std = np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) / d + eps)
+    x_hat = centered / std
+    out = Tensor(x_hat * gain.data + bias.data)
+
+    def bw(g):
+        gx = g * gain.data
+        mean_gx = np.add.reduce(gx, axis=-1, keepdims=True) / d
+        mean_gx_hat = np.add.reduce(gx * x_hat, axis=-1, keepdims=True) / d
+        return ((gx - mean_gx - x_hat * mean_gx_hat) / std,
+                _unbroadcast(g * x_hat, gain.data.shape), _unbroadcast(g, bias.data.shape))
+
+    return _record(out, (x, gain, bias), bw)
+
+
+class KVCache:
+    """One attention block's keys and values (heads, capacity, dh); rows [0, used) are filled."""
+
+    __slots__ = ("k", "v", "used")
+
+    def __init__(self, capacity: int, heads: int, dh: int):
+        self.k = np.empty((heads, capacity, dh))
+        self.v = np.empty((heads, capacity, dh))
+        self.used = 0
+
+
+def attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
+              mask: Array | None = None, cache: KVCache | None = None) -> tuple[Tensor, Array]:
+    """Multi-head attention over the rows of ``h`` as one tape node: ``wq``/
+    ``wk``/``wv`` are (heads, d, dh), ``wo`` is (heads, dh, d), and ``mask`` is
+    added to every head's scaled scores.  Returns the (rows, d) sum of the head
+    outputs and the (heads, rows, keys) probabilities as an array.
+
+    With a ``cache`` (tape-free decoding only) the rows of ``h`` are appended
+    to the cached rows and attend to all of them."""
+    if h.data.ndim != 2:
+        raise ShapeError(f"attention needs a (rows, d) input, got shape {h.data.shape}")
+    hd, wqd, wkd, wvd, wod = h.data, wq.data, wk.data, wv.data, wo.data
+    q, k, v = hd @ wqd, hd @ wkd, hd @ wvd
+    if cache is not None:
+        if _TAPE_STACK:
+            raise ContractError("a KV cache cannot be used while a tape is recording")
+        start, end = cache.used, cache.used + hd.shape[0]
+        if end > cache.k.shape[1]:
+            raise CapacityError(f"KV cache of {cache.k.shape[1]} rows cannot take {end}")
+        cache.k[:, start:end] = k
+        cache.v[:, start:end] = v
+        cache.used = end
+        k, v = cache.k[:, :end], cache.v[:, :end]
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    probs = q @ np.swapaxes(k, -1, -2)
+    probs *= scale
+    if mask is not None:
+        probs += mask
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
+    heads_v = probs @ v
+    out = Tensor(np.add.reduce(heads_v @ wod, axis=0))
+
+    def bw(g):
+        g_heads_v = g @ np.swapaxes(wod, -1, -2)
+        g_probs = g_heads_v @ np.swapaxes(v, -1, -2)
+        g_scores = probs * (g_probs - np.add.reduce(g_probs * probs, axis=-1, keepdims=True))
+        g_scores *= scale
+        gq = g_scores @ k
+        gk = np.swapaxes(g_scores, -1, -2) @ q
+        gv = np.swapaxes(probs, -1, -2) @ g_heads_v
+        gh = np.add.reduce(gq @ np.swapaxes(wqd, -1, -2) + gk @ np.swapaxes(wkd, -1, -2)
+                           + gv @ np.swapaxes(wvd, -1, -2), axis=0)
+        return gh, hd.T @ gq, hd.T @ gk, hd.T @ gv, np.swapaxes(heads_v, -1, -2) @ g
+
+    return _record(out, (h, wq, wk, wv, wo), bw), probs
 
 
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:

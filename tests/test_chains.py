@@ -8,6 +8,7 @@ import pytest
 
 from lexchain.chains import (
     CONSTRAINT_NAMES,
+    MAX_NESTING,
     ChainSet,
     LegalChain,
     Node,
@@ -160,6 +161,19 @@ class TestJsonRoundTrip:
         with pytest.raises(ParseError):
             expr_from_json(["pred"])
 
+    def test_nesting_capped_at_max_nesting(self):
+        """A condition tree nested 3000 deep used to escape as RecursionError."""
+        def nested(depth):
+            expr = {"pred": "a"}
+            for _ in range(depth):
+                expr = {"and": [expr, {"pred": "b"}]}
+            return expr
+
+        assert sorted(set(expr_labels(expr_from_json(nested(MAX_NESTING))))) == ["a", "b"]
+        for depth in (MAX_NESTING + 1, 3000):
+            with pytest.raises(ParseError, match="nests AND/OR more than"):
+                expr_from_json(nested(depth))
+
 
 def _toy_chain_set():
     return ChainSet(
@@ -216,6 +230,19 @@ class TestChainFiles:
     def test_parse_rejects_non_json(self):
         with pytest.raises(ParseError):
             parse_chain_file("not json at all {")
+
+    def test_parse_rejects_deeply_nested_json(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_chain_file("[" * 100000 + "]" * 100000)
+
+    def test_parse_rejects_a_deeply_nested_condition(self):
+        doc = json.loads(serialize_chain_set(_toy_chain_set()))
+        expr = doc["chains"][0]["premise"]["expr"]
+        for _ in range(400):
+            expr = {"or": [expr, {"pred": "x"}]}
+        doc["chains"][0]["premise"]["expr"] = expr
+        with pytest.raises(ParseError, match="nests AND/OR more than"):
+            parse_chain_file(json.dumps(doc))
 
     def test_load_library_directory(self, tmp_path):
         cs = _toy_chain_set()

@@ -468,6 +468,14 @@ class TestCorruptCheckpoint:
         assert code == 2
         assert f"dec.0.ffn.W1 ({d}, {2 * d}) != ({d}, {4 * d})" in err
 
+    def test_deeply_nested_manifest(self, workspace, tmp_path, capsys):
+        deep = ("[" * 100000 + "]" * 100000).encode("utf-8")
+        ckpt = _corrupted_checkpoint(workspace["checkpoint"], tmp_path / "m.ckpt",
+                                     replace={"manifest.json": deep})
+        code, err = self._generate(workspace, ckpt, capsys)
+        assert code == 2
+        assert "unreadable manifest.json: nested too deeply" in err
+
     def test_untouched_copy_still_loads(self, workspace, tmp_path, capsys):
         ckpt = _corrupted_checkpoint(workspace["checkpoint"], tmp_path / "m.ckpt")
         code, err = self._generate(workspace, ckpt, capsys)
@@ -510,6 +518,13 @@ class TestEvaluate:
         opinions.write_text("{not json}\n", encoding="utf-8")
         assert main(["evaluate", "--corpus", str(workspace["corpus"]),
                      "--opinions", str(opinions)]) == 1
+
+    def test_deeply_nested_opinions_line_is_usage_error(self, workspace, tmp_path, capsys):
+        opinions = tmp_path / "deep.jsonl"
+        opinions.write_text("[" * 100000 + "]" * 100000 + "\n", encoding="utf-8")
+        assert main(["evaluate", "--corpus", str(workspace["corpus"]),
+                     "--opinions", str(opinions)]) == 1
+        assert f"{opinions}:1: not valid JSON: nested too deeply" in capsys.readouterr().err
 
     def test_duplicate_case_id_is_usage_error(self, workspace, tmp_path, capsys):
         opinions = _gold_opinions_file(workspace["corpus"], tmp_path / "gold.jsonl")
@@ -600,6 +615,13 @@ class TestEnvConfig:
         config.write_text("{broken", encoding="utf-8")
         monkeypatch.setenv(CONFIG_ENV, str(config))
         assert main(["synth-corpus", "--out", str(tmp_path / "c.jsonl")]) == 1
+
+    def test_deeply_nested_config_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        monkeypatch.setenv(CONFIG_ENV, str(config))
+        assert main(["validate-chains", "--out", str(tmp_path / "report.json")]) == 1
+        assert "is not valid JSON: nested too deeply" in capsys.readouterr().err
 
     def test_help_ignores_a_bad_config(self, tmp_path, monkeypatch, capsys):
         """--help exits 0 whatever the config file holds; a real command with

@@ -168,6 +168,27 @@ class TestJsonl:
             records = load_jsonl(path, lenient=True)
         assert len(records) == 2
 
+    @pytest.mark.parametrize("line", ["null", "[1, 2]", '"text"'])
+    def test_non_object_line_is_a_parse_error(self, tmp_path, line):
+        """Every JSON value that is not an object is a bad record (``null`` used
+        to escape as a TypeError)."""
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="must be a JSON object"):
+            load_jsonl(path)
+
+    def test_deeply_nested_json_is_a_bad_line(self, tmp_path, corpus):
+        """JSON nested past the decoder's recursion limit is a ParseError, or a
+        skipped line in lenient mode, not a RecursionError."""
+        first = json.dumps(corpus[0].to_dict())
+        path = tmp_path / "deep.jsonl"
+        path.write_text(f'{first}\n{"[" * 100000}{"]" * 100000}\n', encoding="utf-8")
+        with pytest.raises(ParseError, match="nested too deeply") as exc:
+            load_jsonl(path)
+        assert exc.value.line == 2
+        with pytest.warns(UserWarning, match="line 2: invalid JSON: nested too deeply"):
+            assert load_jsonl(path, lenient=True) == [corpus[0]]
+
     def test_blank_lines_are_skipped(self, tmp_path, corpus):
         first, second = (json.dumps(rec.to_dict()) for rec in corpus[:2])
         path = tmp_path / "gaps.jsonl"

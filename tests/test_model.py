@@ -30,12 +30,11 @@ from lexchain.model import (
     decoder_forward,
     generate,
     joint_loss,
-    layer_norm,
     mark_sentencing_span,
     param_shapes,
 )
-from lexchain.tensor import (Tape, Tensor, backward, concat, gather_rows, log_softmax_rows,
-                             pick, tsum)
+from lexchain.tensor import (KVCache, Tape, Tensor, backward, concat, gather_rows, layer_norm,
+                             log_softmax_rows, pick, tsum)
 
 
 def _chain_set():
@@ -220,6 +219,7 @@ class TestLayerNorm:
         var = x.var(axis=1, keepdims=True)
         expected = (x - mu) / np.sqrt(var + 1e-5) * g + b
         np.testing.assert_allclose(out, expected, atol=1e-12)
+        np.testing.assert_allclose(out, _np_layer_norm(x, g, b), rtol=0, atol=1e-12)
 
     def test_unit_gain_zero_bias_standardizes(self):
         rng = np.random.default_rng(9)
@@ -246,7 +246,7 @@ class TestDecoder:
         data = {k: t.data for k, t in model.params.items()}
         a = decoder_forward(Tensor(x), model.params, model.cfg).data
         b = np_decoder_forward(x.copy(), data, model.cfg)
-        np.testing.assert_allclose(a, b, atol=1e-10)
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     def test_causality(self):
         """Perturbing row j never changes logits at rows before j."""
@@ -571,6 +571,64 @@ class TestGeneration:
             x = np.vstack([x, row])
             position += 1
         assert out.token_ids == ref_ids
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_cached_logits_equal_the_full_forward_at_every_step(self, heads):
+        """A prefill in two parts, then one-row steps through the caches give,
+        at every greedy step, the last row of a cache-free forward over the
+        whole sequence."""
+        model, chains, cases = _fixture(heads=heads)
+        cfg = model.cfg
+        encoded = encode_chain_set(chains, model.table, model.params, heads)
+        combined = combine(encoded, cases[0].fact, model.table)
+        x = add_positions(combined, encoded.n, model.params, cfg)
+        caches = [KVCache(cfg.context, heads, cfg.d // heads) for _ in range(cfg.layers)]
+        rows = x.shape[0]
+        half = rows // 2
+        decoder_forward(Tensor(x.data[:half]), model.params, cfg, caches=caches)
+        cached = decoder_forward(Tensor(x.data[half:]), model.params, cfg,
+                                 first_row=rows - half - 1, caches=caches)
+        ids = []
+        for _ in range(10):
+            full = decoder_forward(x, model.params, cfg).data[-1]
+            np.testing.assert_allclose(cached.data[0], full, rtol=0, atol=1e-12)
+            ids.append(int(np.argmax(full)))
+            row = model.params["embed"].data[ids[-1]] + model.params["pos"].data[rows]
+            x = Tensor(np.vstack([x.data, row]))
+            cached = decoder_forward(Tensor(row[None, :]), model.params, cfg, caches=caches)
+            rows += 1
+            assert all(c.used == rows for c in caches)
+        eos = model.table.vocab["<eos>"]
+        expected = ids[:ids.index(eos)] if eos in ids else ids
+        assert generate(model, combined, encoded.n, max_len=10).token_ids == expected
+
+    def test_caches_past_the_context_rejected(self):
+        model, _, _ = _fixture(context=8)
+        cfg = model.cfg
+        caches = [KVCache(cfg.context, cfg.dec_heads, cfg.d // cfg.dec_heads)
+                  for _ in range(cfg.layers)]
+        decoder_forward(Tensor(np.zeros((6, cfg.d))), model.params, cfg, caches=caches)
+        with pytest.raises(CapacityError):
+            decoder_forward(Tensor(np.zeros((3, cfg.d))), model.params, cfg, caches=caches)
+
+    def test_generation_under_a_tape_is_refused(self):
+        model, _, cases = _fixture()
+        combined = combine(None, cases[0].fact, model.table)
+        with Tape() as tape:
+            tape.watch(*model.params.values())
+            with pytest.raises(ContractError):
+                generate(model, combined, 0, max_len=4)
+
+    @pytest.mark.parametrize("mode", ["greedy", "top-k"])
+    def test_decoding_leaves_every_parameter_unchanged(self, mode):
+        model, chains, cases = _fixture()
+        before = {name: (t, t.data, t.data.copy()) for name, t in model.params.items()}
+        for case in cases:
+            decode_case(model, case, chains, max_len=12, mode=mode, seed=3)
+        assert sorted(model.params) == sorted(before)
+        for name, (t, data, copy_) in before.items():
+            assert model.params[name] is t and t.data is data and t.grad is None
+            np.testing.assert_array_equal(data, copy_, err_msg=name)
 
     def test_max_len_zero_yields_empty(self):
         model, chains, cases = _fixture()

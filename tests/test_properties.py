@@ -1,15 +1,23 @@
-"""Property tests of the condition-text parser, with Hypothesis.
+"""Property tests of the condition-text parser and the JSON input boundaries,
+with Hypothesis.
 
 Every property is derandomized with a fixed example budget and no example
 database, so every run draws the same examples.
 """
 
+import json
 import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexchain.chains import MAX_NESTING, Node, Predicate, expr_to_text, parse_infix
+from lexchain.chains import (MAX_NESTING, ChainSet, Node, Predicate, SentencingRange,
+                             chain_from_text, expr_to_text, parse_chain_file, parse_infix,
+                             serialize_chain_set)
+from lexchain.corpus import load_jsonl
 from lexchain.errors import LexchainError, ParseError
 
 DETERMINISTIC = settings(derandomize=True, max_examples=300, database=None, deadline=None)
@@ -61,3 +69,58 @@ def test_deep_nesting_is_a_parse_error(depth):
     assert parse_infix("(" * MAX_NESTING + "a" + ")" * MAX_NESTING) == Predicate("a")
     with pytest.raises(ParseError, match="nests parentheses"):
         parse_infix("(" * depth + "a" + ")" * depth)
+
+
+# JSON documents of any shape, plus text that is almost JSON.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=16,
+)
+_CHAIN_FILE = json.loads(serialize_chain_set(ChainSet(charge="toy", chains=[
+    chain_from_text("a AND b", "c OR d", SentencingRange(1, 6, "base"), "Provision 1")])))
+_CASE = {"case_id": "toy-0", "fact": "the man took goods", "charge": "toy",
+         "opinion": "the court orders 7 months of imprisonment.", "sentence_months": 7,
+         "sentencing_span": None, "defendant": "the man"}
+
+
+def _mutations(doc):
+    """A valid document with one top-level value replaced or removed."""
+    return st.one_of(
+        st.builds(lambda key, value: {**doc, key: value}, st.sampled_from(sorted(doc)),
+                  json_values),
+        st.sampled_from(sorted(doc)).map(lambda key: {k: v for k, v in doc.items()
+                                                      if k != key}),
+    ).map(json.dumps)
+
+
+def _inputs(doc):
+    return st.one_of(json_values.map(json.dumps), _mutations(doc), st.text(max_size=40),
+                     st.integers(0, 3000).map(lambda n: "[" * n + "]" * n),
+                     st.integers(0, 3000).map(lambda n: '{"a":' * n + "1" + "}" * n))
+
+
+@DETERMINISTIC
+@given(_inputs(_CHAIN_FILE))
+def test_parse_chain_file_raises_only_package_errors(text):
+    try:
+        parse_chain_file(text)
+    except LexchainError:
+        pass
+
+
+@DETERMINISTIC
+@given(st.lists(_inputs(_CASE).map(lambda line: line.replace("\n", " ")), min_size=1,
+                max_size=3))
+def test_load_jsonl_raises_only_package_errors(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cases.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for lenient in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    load_jsonl(path, lenient=lenient)
+                except LexchainError:
+                    pass

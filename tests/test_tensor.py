@@ -5,27 +5,26 @@ import math
 import numpy as np
 import pytest
 
-from lexchain.errors import ContractError, EvaluationError, ShapeError
+from lexchain.errors import CapacityError, ContractError, EvaluationError, ShapeError
 from lexchain.tensor import (
+    KVCache,
     Tape,
     Tensor,
     _record,
+    attention,
     backward,
     concat,
-    div,
     dropout,
     gather_rows,
     grad_check,
+    layer_norm,
     log_softmax_rows,
     matmul,
     mul,
     pick,
     relu,
     sigmoid,
-    softmax_rows,
-    sqrt,
     tmean,
-    transpose,
     tsum,
 )
 
@@ -33,6 +32,41 @@ from lexchain.tensor import (
 def _fd(params, fn, eps=1e-5):
     """Finite-difference wrapper with the package's relative-error convention."""
     return grad_check(params, fn, eps=eps)
+
+
+def _np_softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _np_attention(h, wq, wk, wv, wo, mask=None):
+    """Per-head numpy oracle of ``attention``: summed outputs and probabilities."""
+    out = np.zeros((h.shape[0], wo.shape[2]))
+    probs = []
+    for i in range(wq.shape[0]):
+        q, k, v = h @ wq[i], h @ wk[i], h @ wv[i]
+        scores = q @ k.T / np.sqrt(wq.shape[2])
+        if mask is not None:
+            scores = scores + mask
+        p = _np_softmax(scores)
+        probs.append(p)
+        out += p @ v @ wo[i]
+    return out, np.stack(probs)
+
+
+def _attention_params(rng, heads, d=8, rows=5):
+    dh = d // heads
+    return {"h": Tensor(rng.normal(size=(rows, d))),
+            "wq": Tensor(rng.normal(size=(heads, d, dh)) * 0.5),
+            "wk": Tensor(rng.normal(size=(heads, d, dh)) * 0.5),
+            "wv": Tensor(rng.normal(size=(heads, d, dh)) * 0.5),
+            "wo": Tensor(rng.normal(size=(heads, dh, d)) * 0.5)}
+
+
+def _causal(rows, rng=None):
+    """-1e9 above the diagonal, plus small finite offsets when ``rng`` is given."""
+    mask = np.triu(np.full((rows, rows), -1e9), k=1)
+    return mask if rng is None else mask + rng.normal(size=(rows, rows))
 
 
 class TestHandValues:
@@ -50,14 +84,14 @@ class TestHandValues:
     def test_softmax_log_integers(self):
         x = Tensor([[0.0, math.log(2.0), math.log(3.0)]])
         np.testing.assert_allclose(
-            softmax_rows(x).data, [[1.0 / 6.0, 2.0 / 6.0, 3.0 / 6.0]], atol=1e-12
+            np.exp(log_softmax_rows(x).data), [[1.0 / 6.0, 2.0 / 6.0, 3.0 / 6.0]], atol=1e-12
         )
 
     def test_log_softmax_matches_log_of_softmax(self):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(4, 7)))
+        x = rng.normal(size=(4, 7))
         np.testing.assert_allclose(
-            log_softmax_rows(x).data, np.log(softmax_rows(x).data), atol=1e-12
+            log_softmax_rows(Tensor(x)).data, np.log(_np_softmax(x)), atol=1e-12
         )
 
     def test_square_gradient_at_three(self):
@@ -74,9 +108,9 @@ class TestHandValues:
         with Tape() as tape:
             tape.watch(x, z)
             y = tsum(x * x)
-            grads = backward(tape, y)
-        np.testing.assert_allclose(grads["z"].data, [0.0])
-        np.testing.assert_allclose(grads["x"].data, [2.0, 4.0])
+            assert backward(tape, y) is None
+        np.testing.assert_array_equal(z.grad, [0.0])
+        np.testing.assert_allclose(x.grad, [2.0, 4.0])
 
     def test_reuse_accumulates(self):
         x = Tensor(3.0)
@@ -106,12 +140,17 @@ class TestHandValues:
             np.testing.assert_array_equal(paired[i], shared[i] @ u[i])
 
     def test_transpose_and_softmax_act_on_last_two_axes(self):
+        """Attention forms q @ k.T per head and normalizes over the keys."""
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(2, 3, 4))
-        np.testing.assert_array_equal(transpose(Tensor(x)).data, x.transpose(0, 2, 1))
-        probs = softmax_rows(Tensor(x)).data
-        for i in range(2):
-            np.testing.assert_array_equal(probs[i], softmax_rows(Tensor(x[i])).data)
+        for heads in (1, 4):
+            p = _attention_params(rng, heads)
+            for mask in (None, _causal(5, rng)):
+                out, probs = attention(p["h"], p["wq"], p["wk"], p["wv"], p["wo"], mask)
+                want_out, want_probs = _np_attention(
+                    *(p[k].data for k in ("h", "wq", "wk", "wv", "wo")), mask)
+                assert isinstance(probs, np.ndarray) and probs.shape == (heads, 5, 5)
+                np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(out.data, want_out, rtol=0, atol=1e-12)
 
 
 class TestKernelGradients:
@@ -121,11 +160,11 @@ class TestKernelGradients:
     def test_elementwise_binary(self, seed):
         rng = np.random.default_rng(seed)
         a = Tensor(rng.normal(size=(3, 4)))
-        b = Tensor(rng.normal(size=(3, 4)) + 3.0)  # keep divisor away from 0
+        b = Tensor(rng.normal(size=(3, 4)) + 3.0)
         params = {"a": a, "b": b}
         assert _fd(params, lambda p: tsum((p["a"] + p["b"]) * p["a"])) < 1e-6
         assert _fd(params, lambda p: tsum(p["a"] - p["b"])) < 1e-6
-        assert _fd(params, lambda p: tsum(div(p["a"], p["b"]))) < 1e-6
+        assert _fd(params, lambda p: tsum((1.0 - p["a"]) * (2.0 + p["b"]))) < 1e-6
         assert _fd(params, lambda p: tsum(-p["a"] * p["b"])) < 1e-6
 
     @pytest.mark.parametrize("seed", range(10))
@@ -145,21 +184,22 @@ class TestKernelGradients:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matmul_transpose_reshape(self, seed):
-        """Matmul and transpose over a leading head axis: 2-D x 3-D, 3-D x 3-D
-        and 3-D x 2-D, as multi-head attention uses them."""
+        """Matmul over a leading head axis: 2-D x 3-D, 3-D x 3-D and
+        3-D x 2-D."""
         rng = np.random.default_rng(seed)
         params = {
             "a": Tensor(rng.normal(size=(3, 5))),
             "w": Tensor(rng.normal(size=(2, 5, 4))),
             "u": Tensor(rng.normal(size=(2, 5, 4))),
-            "b": Tensor(rng.normal(size=(3, 2))),
+            "t": Tensor(rng.normal(size=(2, 4, 3))),
+            "b": Tensor(rng.normal(size=(4, 2))),
         }
 
         def objective(p):
             q = p["a"] @ p["w"]
             k = p["a"] @ p["u"]
-            scores = softmax_rows(q @ transpose(k))
-            return tsum((scores @ k) * q) + tsum(transpose(q) @ p["b"])
+            scores = q @ p["t"]
+            return tsum((sigmoid(scores) @ k) * q) + tsum(q @ p["b"])
 
         assert _fd(params, objective) < 1e-6
 
@@ -168,21 +208,25 @@ class TestKernelGradients:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(4, 3))
         x[np.abs(x) < 0.1] = 0.5  # keep relu away from its kink
-        params = {"x": Tensor(x), "p": Tensor(np.abs(rng.normal(size=(4, 3))) + 0.5)}
+        params = {"x": Tensor(x), "p": Tensor(rng.normal(size=(4, 3)))}
 
         def objective(p):
-            return tsum(relu(p["x"])) + tsum(sigmoid(p["x"])) + tsum(sqrt(p["p"]))
+            return tsum(relu(p["x"])) + tsum(sigmoid(p["x"])) + tsum(-p["p"] * sigmoid(p["p"]))
 
         assert _fd(params, objective) < 1e-6
 
     @pytest.mark.parametrize("seed", range(10))
     def test_softmax_families(self, seed):
+        """The softmax inside attention (masked, 2 heads) and log_softmax_rows."""
         rng = np.random.default_rng(seed)
-        params = {"x": Tensor(rng.normal(size=(3, 6)) * 2.0)}
+        params = _attention_params(rng, 2, d=6, rows=3)
+        params["x"] = Tensor(rng.normal(size=(3, 6)) * 2.0)
         weights = np.arange(18.0).reshape(3, 6)
+        mask = _causal(3, rng)
 
         def objective(p):
-            soft = softmax_rows(p["x"]) * Tensor(weights)
+            out, _ = attention(p["x"], p["wq"], p["wk"], p["wv"], p["wo"], mask)
+            soft = out * Tensor(weights)
             logsoft = log_softmax_rows(p["x"]) * Tensor(weights[::-1].copy())
             return tsum(soft) + tmean(logsoft)
 
@@ -233,9 +277,31 @@ class TestKernelGradients:
         def objective(p):
             h1 = relu(p["x"] @ p["W1"])
             h2 = sigmoid(h1 @ p["W2"])
-            return tmean(softmax_rows(h2 @ p["W3"]))
+            return tmean(log_softmax_rows(h2 @ p["W3"]))
 
         assert _fd(params, objective) < 1e-5
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_layer_norm(self, seed):
+        rng = np.random.default_rng(seed)
+        params = {"x": Tensor(rng.normal(size=(4, 6)) * 2.0 + 0.5),
+                  "g": Tensor(rng.normal(size=6)), "b": Tensor(rng.normal(size=6))}
+        weights = Tensor(rng.normal(size=(4, 6)))
+        assert _fd(params, lambda p: tsum(layer_norm(p["x"], p["g"], p["b"]) * weights)) < 1e-6
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_attention(self, heads, masked):
+        rng = np.random.default_rng(heads)
+        params = _attention_params(rng, heads)
+        mask = _causal(5, rng) if masked else None
+        weights = Tensor(rng.normal(size=(5, 8)))
+
+        def objective(p):
+            out, _ = attention(p["h"], p["wq"], p["wk"], p["wv"], p["wo"], mask)
+            return tsum(out * weights)
+
+        assert _fd(params, objective) < 1e-6
 
     def test_linear_function_is_exact(self):
         rng = np.random.default_rng(7)
@@ -320,21 +386,32 @@ class TestErrors:
         with pytest.raises(ContractError):
             Tensor([[1.0, 2.0]]).item()
 
-    def test_transpose_requires_matrix(self):
-        with pytest.raises(ShapeError):
-            transpose(Tensor(np.ones(3)))
+    def test_attention_requires_matrix(self):
+        p = _attention_params(np.random.default_rng(0), 2)
+        for h in (np.ones(8), np.ones((2, 5, 8))):
+            with pytest.raises(ShapeError):
+                attention(Tensor(h), p["wq"], p["wk"], p["wv"], p["wo"])
 
     def test_softmax_requires_matrix(self):
         with pytest.raises(ShapeError):
-            softmax_rows(Tensor(np.ones(4)))
+            log_softmax_rows(Tensor(np.ones(4)))
+        with pytest.raises(ShapeError):
+            log_softmax_rows(Tensor(np.ones((2, 3, 4))))
+
+    def test_layer_norm_requires_gain_and_bias_of_the_row_width(self):
+        x = Tensor(np.ones((2, 4)))
+        with pytest.raises(ShapeError):
+            layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(4)))
+        with pytest.raises(ShapeError):
+            layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros((1, 4))))
 
     def test_grad_check_rejects_nonfinite_objective(self):
         params = {"x": Tensor([[0.0]])}
 
         def objective(p):
-            return div(Tensor([[1.0]]), p["x"])  # 1/0 -> inf
+            return p["x"] * Tensor([[np.inf]])  # 0 * inf -> nan
 
-        with np.errstate(divide="ignore"):
+        with np.errstate(invalid="ignore"):
             with pytest.raises(EvaluationError):
                 grad_check(params, objective)
 
@@ -385,3 +462,41 @@ class TestTapeMechanics:
         lb, gb = run(123)
         np.testing.assert_array_equal(la, lb)
         np.testing.assert_array_equal(ga, gb)
+
+
+class TestKVCache:
+    def test_cached_rows_match_one_masked_pass(self):
+        """Feeding rows one or several at a time through a cache equals one
+        causally masked pass over all of them."""
+        rng = np.random.default_rng(8)
+        for heads in (1, 4):
+            p = _attention_params(rng, heads, rows=6)
+            w = [p[k] for k in ("wq", "wk", "wv", "wo")]
+            full, full_probs = attention(p["h"], *w, _causal(6))
+            cache = KVCache(8, heads, 8 // heads)
+            first, _ = attention(Tensor(p["h"].data[:3]), *w, _causal(3), cache)
+            rows = [first.data]
+            for i in range(3, 6):
+                out, probs = attention(Tensor(p["h"].data[i:i + 1]), *w, cache=cache)
+                assert probs.shape == (heads, 1, i + 1)
+                np.testing.assert_allclose(probs[:, 0], full_probs[:, i, :i + 1],
+                                           rtol=0, atol=1e-12)
+                rows.append(out.data)
+            assert cache.used == 6
+            np.testing.assert_allclose(np.concatenate(rows), full.data, rtol=0, atol=1e-12)
+
+    def test_cache_under_a_tape_is_refused_and_records_nothing(self):
+        p = _attention_params(np.random.default_rng(9), 2)
+        cache = KVCache(8, 2, 4)
+        with Tape() as tape:
+            tape.watch(*p.values())
+            with pytest.raises(ContractError):
+                attention(p["h"], p["wq"], p["wk"], p["wv"], p["wo"], cache=cache)
+        assert tape.nodes == [] and cache.used == 0
+
+    def test_rows_past_the_capacity_rejected(self):
+        p = _attention_params(np.random.default_rng(10), 2)
+        cache = KVCache(4, 2, 4)
+        with pytest.raises(CapacityError):
+            attention(p["h"], p["wq"], p["wk"], p["wv"], p["wo"], _causal(5), cache)
+        assert cache.used == 0
