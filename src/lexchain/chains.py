@@ -549,7 +549,11 @@ def parse_extraction_response(text: str, charge: str) -> tuple[ChainSet, list[st
                 f"chain block {idx}: conclusion lacks 'range: <min>-<max> months'"
             )
             continue
-        lo, hi = int(m.group(1)), int(m.group(2))
+        try:
+            lo, hi = int(m.group(1)), int(m.group(2))
+        except ValueError:  # past the interpreter's digit limit for int()
+            diagnostics.append(f"chain block {idx}: range figure too long")
+            continue
         if hi < lo:
             diagnostics.append(f"chain block {idx}: inverted range {lo}-{hi}")
             continue

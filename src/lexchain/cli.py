@@ -30,9 +30,10 @@ from .chains import (
 from .client import CompletionClient
 from .corpus import load_jsonl, save_jsonl, split, synthesize_corpus
 from .checkpoint import load_checkpoint
-from .errors import ConfigurationError, LexchainError, UsageError, parse_json
+from .errors import (ConfigurationError, ExtractionError, LexchainError, UsageError,
+                     parse_json)
 from .metrics import evaluate_outputs, screen_corpus
-from .model import decode_case
+from .model import decode_cases
 from .training import TrainConfig, gradcheck_full_pipeline, train
 
 CONFIG_ENV = "CHAIN_REASONER_CONFIG"
@@ -117,7 +118,10 @@ def cmd_extract_prompt(args) -> int:
 
 
 def cmd_parse_chains(args) -> int:
-    response = Path(args.response_file).read_text(encoding="utf-8")
+    try:
+        response = Path(args.response_file).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ExtractionError(f"response file is not UTF-8 text: {exc}") from exc
     chain_set, diagnostics = parse_extraction_response(response, args.charge)
     for note in diagnostics:
         print(f"note: {note}", file=sys.stderr)
@@ -190,12 +194,11 @@ def cmd_generate(args) -> int:
     charges = sorted({r.charge for r in records})
     use_chains = not args.no_chains and _trained_with_chains(extra)
     chain_map = _chain_map(args.chains, charges) if use_chains else dict.fromkeys(charges)
-    lines = []
-    for rec in records:
-        output = decode_case(model, rec, chain_map[rec.charge],
-                             max_len=args.max_len, mode=args.mode, seed=args.seed)
-        lines.append(json.dumps({"case_id": rec.case_id, "opinion": output.text},
-                                sort_keys=True, ensure_ascii=False))
+    outputs = decode_cases(model, records, chain_map, max_len=args.max_len, mode=args.mode,
+                           seed=args.seed)
+    lines = [json.dumps({"case_id": rec.case_id, "opinion": output.text},
+                        sort_keys=True, ensure_ascii=False)
+             for rec, output in zip(records, outputs)]
     _emit("\n".join(lines) + "\n", args.out)
     if args.out:
         summary = {

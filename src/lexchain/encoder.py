@@ -114,12 +114,12 @@ class EncodedChainSet:
 
 
 def attention(h: Tensor, params: Mapping[str, Tensor], prefix: str, heads: int,
-              mask: np.ndarray | None = None,
-              cache: T.KVCache | None = None) -> tuple[Tensor, np.ndarray]:
+              mask: np.ndarray | None = None, cache: T.KVCache | None = None,
+              first_row: int = 0) -> tuple[Tensor, np.ndarray]:
     """:func:`tensor.attention` with the weights under ``prefix``, whose
     ``Wq``/``Wk``/``Wv`` are (heads, d, dh) and ``Wo`` is (heads, dh, d).
-    Returns the summed head outputs (rows x d) and the (heads, rows, keys)
-    attention probabilities."""
+    Returns the summed head outputs of the query rows ``first_row:``
+    (queries x d) and the (heads, queries, keys) attention probabilities."""
     d = h.shape[1]
     if d % heads != 0:
         raise ShapeError(f"head count {heads} must divide model dimension {d}")
@@ -128,7 +128,7 @@ def attention(h: Tensor, params: Mapping[str, Tensor], prefix: str, heads: int,
     if wq.shape != (heads, d, dh):
         raise ShapeError(f"{prefix}.Wq has shape {wq.shape}, expected {(heads, d, dh)}")
     return T.attention(h, wq, params[f"{prefix}.Wk"], params[f"{prefix}.Wv"],
-                       params[f"{prefix}.Wo"], mask, cache)
+                       params[f"{prefix}.Wo"], mask, cache, first_row)
 
 
 _CHAIN_CONSTANTS: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -61,11 +61,14 @@ class ConfigurationError(LexchainError):
 
 
 def parse_json(text: str, error: Callable[[str, int | None], LexchainError]):
-    """``json.loads`` of outside input: malformed JSON, and JSON nested too
-    deeply for the decoder, raise ``error(reason, line or None)``."""
+    """``json.loads`` of outside input: malformed JSON, JSON nested too deeply
+    for the decoder, and integers past the interpreter's digit limit raise
+    ``error(reason, line or None)``."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(exc.msg, exc.lineno) from exc
     except RecursionError as exc:
         raise error("nested too deeply", None) from exc
+    except ValueError as exc:
+        raise error(str(exc), None) from exc

@@ -225,9 +225,11 @@ def decoder_forward(x: Tensor, params: Mapping[str, Tensor], cfg: ModelConfig,
                     first_row: int = 0, caches: Sequence[T.KVCache] | None = None) -> Tensor:
     """Causal decoder over the rows of ``x``; returns logits for rows ``first_row:``.
 
-    Every row runs through the blocks (later rows attend to earlier ones),
-    but the final layer norm and output head are row-wise, so only the rows
-    asked for are projected to the vocabulary.  The default returns all rows.
+    Every row runs through all blocks but the last (later rows attend to
+    earlier ones).  In the last block every row still gives a key and a
+    value, but only rows ``first_row:`` form queries and go on through the
+    FFN, the final layer norm and the output head, which are all row-wise.
+    The default returns all rows.
 
     ``caches`` (one :class:`tensor.KVCache` per layer; tape-free only) hold
     earlier rows, which the rows of ``x`` follow and attend to.
@@ -242,15 +244,17 @@ def decoder_forward(x: Tensor, params: Mapping[str, Tensor], cfg: ModelConfig,
     mask = _causal_mask(rows, past) if rows > 1 else None
     for layer in range(cfg.layers):
         block = f"dec.{layer}"
+        queries = first_row if layer == cfg.layers - 1 else 0
         h = T.layer_norm(x, params[f"{block}.ln1.g"], params[f"{block}.ln1.b"])
-        attn_out, _ = attention(h, params, f"{block}.attn", cfg.dec_heads, mask,
-                                caches[layer] if caches else None)
+        attn_out, _ = attention(h, params, f"{block}.attn", cfg.dec_heads,
+                                mask[queries:] if queries else mask,
+                                caches[layer] if caches else None, queries)
+        if queries:
+            x = T.gather_rows(x, np.arange(queries, rows))
         x = x + attn_out
         h2 = T.layer_norm(x, params[f"{block}.ln2.g"], params[f"{block}.ln2.b"])
         inner = T.relu(T.matmul(h2, params[f"{block}.ffn.W1"]) + params[f"{block}.ffn.b1"])
         x = x + T.matmul(inner, params[f"{block}.ffn.W2"]) + params[f"{block}.ffn.b2"]
-    if first_row:
-        x = T.gather_rows(x, np.arange(first_row, rows))
     x = T.layer_norm(x, params["dec.lnf.g"], params["dec.lnf.b"])
     return T.matmul(x, params["dec.out.W"]) + params["dec.out.b"]
 
@@ -321,8 +325,7 @@ def joint_loss(batch: Sequence[tuple], model: Model, alpha: float = 1.0, beta: f
         x = add_positions(x, n, model.params, model.cfg)
         # Row prefix_len - 1 + j predicts target[j]; only those rows are scored.
         logits = decoder_forward(x, model.params, model.cfg, first_row=prefix_len - 1)
-        logp = T.log_softmax_rows(logits)
-        ll = T.pick(logp, np.arange(len(target)), target)
+        ll = T.log_likelihood_rows(logits, target)
         case_sum = T.tsum(ll)
         sum_reasoning = case_sum if sum_reasoning is None else sum_reasoning + case_sum
         token_count += len(target)
@@ -419,10 +422,24 @@ def decode_case(model: Model, record, chain_set: ChainSet | None, max_len: int =
     Decoding never adds parameters: a charge the model has no weights for
     raises ConfigurationError.
     """
-    encoded = None
-    if chain_set is not None:
-        encoded = encode_chain_set(chain_set, model.table, model.params, model.cfg.enc_heads,
-                                   auto_register=False)
-    combined = combine(encoded, record.fact, model.table)
-    n = encoded.n if encoded is not None else 0
-    return generate(model, combined, n, max_len=max_len, mode=mode, seed=seed)
+    return decode_cases(model, [record], {record.charge: chain_set}, max_len, mode, seed)[0]
+
+
+def decode_cases(model: Model, records: Sequence, chain_map: Mapping[str, ChainSet | None],
+                 max_len: int = 96, mode: str = "greedy", seed: int = 0) -> list[OpinionOutput]:
+    """:func:`decode_case` for every record, with the chain set of its charge
+    (``chain_map.get(record.charge)``; None decodes chain-free).  Each
+    charge's set is encoded once, when its first record is decoded, and the
+    encoding is reused for the charge's later records."""
+    encodings: dict[str, EncodedChainSet | None] = {}
+    outputs = []
+    for record in records:
+        if record.charge not in encodings:
+            chain_set = chain_map.get(record.charge)
+            encodings[record.charge] = None if chain_set is None else encode_chain_set(
+                chain_set, model.table, model.params, model.cfg.enc_heads, auto_register=False)
+        encoded = encodings[record.charge]
+        combined = combine(encoded, record.fact, model.table)
+        n = encoded.n if encoded is not None else 0
+        outputs.append(generate(model, combined, n, max_len=max_len, mode=mode, seed=seed))
+    return outputs

@@ -3,9 +3,11 @@
 The engine is define-by-run: a :class:`Tape` is opened around a forward
 computation, every kernel that touches a gradient-carrying tensor appends a
 node (inputs, output, local backward rule) in creation order, and
-:func:`backward` walks the tape once in reverse.  Tensors are thin wrappers
-around C-contiguous ``numpy`` arrays; all kernels are pure functions that
-return fresh tensors.
+:func:`backward` walks the tape once in reverse.  A backward rule computes
+no gradient for an input that does not require one, and only the tensors
+the tape watches (its leaves) receive ``.grad``; intermediate and constant
+tensors never do.  Tensors are thin wrappers around C-contiguous ``numpy``
+arrays; all kernels are pure functions that return fresh tensors.
 
 Row-vector convention: vectors are 1xd matrices where a matmul is involved,
 so ``x @ W`` applies a linear map.  Kernels never mutate their input tensors;
@@ -142,32 +144,25 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> T
 def backward(tape: Tape, loss: Tensor) -> None:
     """Reverse sweep over ``tape`` from scalar ``loss``.
 
-    Sets ``.grad`` on every reached gradient-carrying tensor; watched tensors
-    on no path to the loss get zeros.
+    Sets ``.grad`` on the watched tensors only (zeros for one on no path to
+    the loss); intermediate results and constants get none.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-    reached: set[int] = {id(loss)}
-    loss.grad = grads[id(loss)]
     for node in reversed(tape.nodes):
-        g = grads.pop(id(node.out), None)
+        g = grads.get(id(node.out))
         if g is None:
             continue
-        node.out.grad = np.ascontiguousarray(g)
         for t, gi in zip(node.inputs, node.backward_fn(g)):
             if gi is None or not t.requires_grad:
                 continue
             key = id(t)
-            if key in grads:
-                grads[key] = grads[key] + gi
-            else:
-                grads[key] = gi
-            reached.add(key)
-            t.grad = np.ascontiguousarray(grads[key])
+            seen = grads.get(key)
+            grads[key] = gi if seen is None else seen + gi
     for t in tape.watched:
-        if id(t) not in reached:
-            t.grad = np.zeros_like(t.data)
+        g = grads.get(id(t))
+        t.grad = np.zeros_like(t.data) if g is None else np.ascontiguousarray(g)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +205,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def bw(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), bw)
 
@@ -225,7 +221,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     Either operand may carry a leading head axis (2-D x 3-D, 3-D x 2-D or
     3-D x 3-D with equal head counts); the 2-D operand is shared by every head
-    and its gradient is summed over the heads.
+    and its gradient is summed over the heads.  An operand that does not
+    require a gradient (an averaging or pooling matrix) gets none.
     """
     ad, bd = a.data, b.data
     if (not 2 <= ad.ndim <= 3 or not 2 <= bd.ndim <= 3 or ad.shape[-1] != bd.shape[-2]
@@ -234,8 +231,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(ad @ bd)
 
     def bw(g):
-        return (_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape),
-                _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
+        return (_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape) if a.requires_grad else None,
+                _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) if b.requires_grad else None)
 
     return _record(out, (a, b), bw)
 
@@ -254,20 +251,32 @@ def sigmoid(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g * s * (1.0 - s),))
 
 
-def log_softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise log-softmax, fused for numerical stability."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"log_softmax_rows expects a matrix, got shape {a.data.shape}")
-    z = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
+def log_likelihood_rows(logits: Tensor, targets) -> Tensor:
+    """``log_softmax(logits)[i, targets[i]]`` for every row ``i`` as one node:
+    a vector with one entry per row.  The backward is ``g * (onehot -
+    softmax)``, so the (rows, classes) log-probabilities are never stored."""
+    a = logits.data
+    if a.ndim != 2:
+        raise ShapeError(f"log_likelihood_rows expects a matrix, got shape {a.shape}")
+    cols = np.asarray(targets, dtype=np.int64)
+    if cols.shape != (a.shape[0],):
+        raise ShapeError(f"log_likelihood_rows needs one target per row: {a.shape[0]} rows, "
+                         f"targets of shape {cols.shape}")
+    rows = np.arange(a.shape[0])
+    z = a - a.max(axis=1, keepdims=True)
+    picked = z[rows, cols]
+    # In place: one fresh (rows, classes) array forward and one backward.
+    e = np.exp(z, out=z)
     total = e.sum(axis=1, keepdims=True)
-    out = Tensor(z - np.log(total))
-    s = e / total
+    out = Tensor(picked - np.log(total[:, 0]))
 
     def bw(g):
-        return (g - s * g.sum(axis=1, keepdims=True),)
+        ga = e / total
+        ga *= -g[:, None]
+        ga[rows, cols] += g
+        return (ga,)
 
-    return _record(out, (a,), bw)
+    return _record(out, (logits,), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -306,18 +315,25 @@ class KVCache:
 
 
 def attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
-              mask: Array | None = None, cache: KVCache | None = None) -> tuple[Tensor, Array]:
+              mask: Array | None = None, cache: KVCache | None = None,
+              first_row: int = 0) -> tuple[Tensor, Array]:
     """Multi-head attention over the rows of ``h`` as one tape node: ``wq``/
     ``wk``/``wv`` are (heads, d, dh), ``wo`` is (heads, dh, d), and ``mask`` is
-    added to every head's scaled scores.  Returns the (rows, d) sum of the head
-    outputs and the (heads, rows, keys) probabilities as an array.
+    added to every head's scaled scores.  Every row gives a key and a value;
+    only rows ``first_row:`` give queries, so ``mask`` has one row per query.
+    Returns the (queries, d) sum of the head outputs and the (heads, queries,
+    keys) probabilities as an array.
 
-    With a ``cache`` (tape-free decoding only) the rows of ``h`` are appended
-    to the cached rows and attend to all of them."""
+    With a ``cache`` (tape-free decoding only) the keys and values of all rows
+    of ``h`` are appended to the cached ones, and the queries attend to all of
+    them."""
     if h.data.ndim != 2:
         raise ShapeError(f"attention needs a (rows, d) input, got shape {h.data.shape}")
+    if not 0 <= first_row < h.data.shape[0]:
+        raise ContractError(f"first_row {first_row} is outside [0, {h.data.shape[0]})")
     hd, wqd, wkd, wvd, wod = h.data, wq.data, wk.data, wv.data, wo.data
-    q, k, v = hd @ wqd, hd @ wkd, hd @ wvd
+    hq = hd[first_row:] if first_row else hd
+    q, k, v = hq @ wqd, hd @ wkd, hd @ wvd
     if cache is not None:
         if _TAPE_STACK:
             raise ContractError("a KV cache cannot be used while a tape is recording")
@@ -347,9 +363,11 @@ def attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
         gq = g_scores @ k
         gk = np.swapaxes(g_scores, -1, -2) @ q
         gv = np.swapaxes(probs, -1, -2) @ g_heads_v
-        gh = np.add.reduce(gq @ np.swapaxes(wqd, -1, -2) + gk @ np.swapaxes(wkd, -1, -2)
-                           + gv @ np.swapaxes(wvd, -1, -2), axis=0)
-        return gh, hd.T @ gq, hd.T @ gk, hd.T @ gv, np.swapaxes(heads_v, -1, -2) @ g
+        gh = gk @ np.swapaxes(wkd, -1, -2)
+        gh[:, first_row:] += gq @ np.swapaxes(wqd, -1, -2)
+        gh += gv @ np.swapaxes(wvd, -1, -2)
+        return (np.add.reduce(gh, axis=0), hq.T @ gq, hd.T @ gk, hd.T @ gv,
+                np.swapaxes(heads_v, -1, -2) @ g)
 
     return _record(out, (h, wq, wk, wv, wo), bw), probs
 
@@ -402,20 +420,6 @@ def gather_rows(table: Tensor, ids) -> Tensor:
         return (gt,)
 
     return _record(out, (table,), bw)
-
-
-def pick(a: Tensor, rows, cols) -> Tensor:
-    """Gather entries ``a[rows[i], cols[i]]`` into a vector."""
-    r = np.asarray(rows, dtype=np.int64)
-    c = np.asarray(cols, dtype=np.int64)
-    out = Tensor(a.data[r, c])
-
-    def bw(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, (r, c), g)
-        return (ga,)
-
-    return _record(out, (a,), bw)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

@@ -18,7 +18,7 @@ from .corpus import CaseRecord, CorpusSplit, NAME_POOL, generator_surface_texts
 from .encoder import build_vocab
 from .errors import ConfigurationError, ContractError, EvaluationError
 from .metrics import evaluate_outputs, extract_sentence_months, mae_rmse
-from .model import Model, ModelConfig, build_model, decode_case, joint_loss
+from .model import Model, ModelConfig, build_model, decode_cases, joint_loss
 from .tensor import Tape, Tensor, backward, grad_check
 
 LOG_HEADER = ["epoch", "loss_total", "loss_reasoning", "loss_sentencing",
@@ -157,11 +157,10 @@ def _write_log(path: str | Path, rows: list[dict]) -> None:
 
 def heldout_predictions(model: Model, records: list[CaseRecord],
                         chain_map: Mapping[str, ChainSet | None], max_len: int) -> dict[str, str]:
-    """Greedy-decode every record; returns case_id -> opinion text."""
-    return {
-        rec.case_id: decode_case(model, rec, chain_map.get(rec.charge), max_len=max_len).text
-        for rec in records
-    }
+    """Greedy-decode every record, encoding each charge's chain set once;
+    returns case_id -> opinion text."""
+    outputs = decode_cases(model, records, chain_map, max_len=max_len)
+    return {rec.case_id: out.text for rec, out in zip(records, outputs)}
 
 
 def train(split: CorpusSplit, library: Mapping[str, ChainSet], cfg: TrainConfig,

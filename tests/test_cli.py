@@ -354,6 +354,36 @@ class TestGenerate:
                      "--max-len", "10", "--out", str(out)]) == 0
         assert json.loads(capsys.readouterr().out)["use_chains"] is False
 
+    def test_each_charge_is_encoded_once(self, workspace, tmp_path, monkeypatch):
+        """Five cases of one charge take one chain-set encode and give the
+        opinions of decoding case by case."""
+        from lexchain import model as model_module
+        from lexchain.checkpoint import load_checkpoint
+        from lexchain.chains import load_chain_library
+        from lexchain.corpus import load_jsonl
+
+        encoded = []
+        original = model_module.encode_chain_set
+
+        def counting(cs, *args, **kwargs):
+            encoded.append(cs.charge)
+            return original(cs, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "encode_chain_set", counting)
+        out = tmp_path / "opinions.jsonl"
+        assert main(["generate", "--checkpoint", str(workspace["checkpoint"]),
+                     "--corpus", str(workspace["corpus"]), "--chains", str(workspace["chains"]),
+                     "--max-len", "12", "--out", str(out)]) == 0
+        assert encoded == ["dangerous_driving"]
+        model, _ = load_checkpoint(workspace["checkpoint"])
+        library = load_chain_library(workspace["chains"])
+        want = [{"case_id": rec.case_id,
+                 "opinion": model_module.decode_case(model, rec, library[rec.charge],
+                                                     max_len=12).text}
+                for rec in load_jsonl(workspace["corpus"])]
+        assert len(encoded) == 1 + len(want) == 6
+        assert [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()] == want
+
     def test_charge_missing_from_chain_library_exits_two(self, workspace, tmp_path, capsys):
         other = tmp_path / "chains"
         other.mkdir()

@@ -34,7 +34,7 @@ from lexchain.model import (
     param_shapes,
 )
 from lexchain.tensor import (KVCache, Tape, Tensor, backward, concat, gather_rows, layer_norm,
-                             log_softmax_rows, pick, tsum)
+                             log_likelihood_rows, tsum)
 
 
 def _chain_set():
@@ -333,9 +333,10 @@ class TestSentencingSpan:
 
 
 def _full_row_joint_loss(batch, model, alpha=1.0, beta=1.0):
-    """The joint loss as first written: logits and log-probabilities for every
-    row of the combined sequence, then one ``pick`` of the target rows and a
-    second ``pick`` of the sentencing rows.  Returns (total, reasoning,
+    """The joint loss as first written: logits for every row of the combined
+    sequence from a decoder that queries every row in every block, then the
+    log-likelihoods of the target rows and, apart, of the sentencing rows,
+    each sliced from the full-row logits.  Returns (total, reasoning,
     sentencing)."""
     eos = model.table.vocab["<eos>"]
     encodings = {}
@@ -353,16 +354,16 @@ def _full_row_joint_loss(batch, model, alpha=1.0, beta=1.0):
         target = model.table.encode(record.opinion) + [eos]
         x = concat([combined, gather_rows(model.table.matrix, target[:-1])], axis=0)
         x = add_positions(x, encoded.n if encoded else 0, model.params, model.cfg)
-        logp = log_softmax_rows(decoder_forward(x, model.params, model.cfg))
+        logits = decoder_forward(x, model.params, model.cfg)
         rows = np.arange(prefix_len - 1, prefix_len - 1 + len(target))
-        case_sum = tsum(pick(logp, rows, target))
+        case_sum = tsum(log_likelihood_rows(gather_rows(logits, rows), target))
         sum_reasoning = case_sum if sum_reasoning is None else sum_reasoning + case_sum
         token_count += len(target)
         interval = mark_sentencing_span(record.opinion)
         if interval is None:
             continue
         a, b = interval
-        span_sum = tsum(pick(logp, rows[a:b], target[a:b]))
+        span_sum = tsum(log_likelihood_rows(gather_rows(logits, rows[a:b]), target[a:b]))
         sum_sentencing = span_sum if sum_sentencing is None else sum_sentencing + span_sum
         mask_count += b - a
     reasoning = sum_reasoning * (-1.0 / token_count)

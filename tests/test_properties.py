@@ -1,5 +1,5 @@
-"""Property tests of the condition-text parser and the JSON input boundaries,
-with Hypothesis.
+"""Property tests of the condition-text parser, the JSON input boundaries and
+the extraction-response parser, with Hypothesis.
 
 Every property is derandomized with a fixed example budget and no example
 database, so every run draws the same examples.
@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexchain.chains import (MAX_NESTING, ChainSet, Node, Predicate, SentencingRange,
-                             chain_from_text, expr_to_text, parse_chain_file, parse_infix,
-                             serialize_chain_set)
+                             chain_from_text, expr_to_text, parse_chain_file,
+                             parse_extraction_response, parse_infix, serialize_chain_set)
+from lexchain.cli import CONFIG_ENV, main
 from lexchain.corpus import load_jsonl
 from lexchain.errors import LexchainError, ParseError
 
@@ -124,3 +125,81 @@ def test_load_jsonl_raises_only_package_errors(lines):
                     load_jsonl(path, lenient=lenient)
                 except LexchainError:
                     pass
+
+
+@pytest.mark.parametrize("reader", ["chain file", "corpus"])
+def test_integer_past_the_digit_limit_is_a_package_error(reader, tmp_path):
+    """Python refuses to convert an integer literal of more than 4300 digits;
+    a JSON input holding one used to escape as ValueError."""
+    huge = "9" * 5000
+    with pytest.raises(ParseError):
+        if reader == "chain file":
+            parse_chain_file(json.dumps(_CHAIN_FILE)[:-1] + f', "x": {huge}}}')
+        else:
+            path = tmp_path / "cases.jsonl"
+            path.write_text(json.dumps(_CASE)[:-1] + f', "sentence_months": {huge}}}\n',
+                            encoding="utf-8")
+            load_jsonl(path)
+
+
+# Extraction responses: chain blocks, mostly well formed, with condition text
+# from the syntax soup and range figures of any length (past Python's
+# 4300-digit limit for int() too), mixed with stray and partial lines.
+_conditions = st.one_of(labels, syntax_soup, st.builds("{} AND {}".format, labels, labels),
+                        st.integers(0, 300).map(lambda n: "(" * n + "a" + ")" * n))
+_figures = st.one_of(st.integers(0, 10 ** 6).map(str), st.integers(4000, 6000).map("9".__mul__),
+                     st.text(alphabet="0123456789 -", max_size=8))
+_conclusions = st.one_of(
+    st.builds("range: {}-{} months; label: {}".format, _figures, _figures, st.text(max_size=6)),
+    st.text(max_size=30),
+)
+_response_lines = st.one_of(
+    st.just("===CHAIN==="),
+    st.builds("{} {}".format, st.sampled_from(["PREMISE:", "SITUATION:", "SOURCE:"]),
+              _conditions),
+    _conclusions.map("CONCLUSION: {}".format),
+    st.text(max_size=30),
+)
+_blocks = st.builds(
+    lambda premise, situation, conclusion, extra: "\n".join(
+        ["===CHAIN===", f"PREMISE: {premise}", f"SITUATION: {situation}",
+         f"CONCLUSION: {conclusion}", *extra]),
+    _conditions, _conditions, _conclusions, st.lists(_response_lines, max_size=3))
+extraction_responses = st.lists(st.one_of(_blocks, _response_lines), max_size=6).map("\n".join)
+
+
+@DETERMINISTIC
+@given(extraction_responses)
+def test_parse_extraction_response_raises_only_package_errors(text):
+    try:
+        chain_set, diagnostics = parse_extraction_response(text, "toy")
+    except LexchainError:
+        return
+    assert chain_set.charge == "toy" and chain_set.chains
+    assert all(isinstance(note, str) for note in diagnostics)
+
+
+@settings(DETERMINISTIC, max_examples=100)
+@given(st.one_of(extraction_responses, st.binary(max_size=40).map(
+    lambda raw: b"===CHAIN===\nPREMISE: " + raw)))
+def test_parse_chains_exits_two_on_a_malformed_response(response):
+    """``lexchain parse-chains`` exits 0 on a usable response and 2 on any
+    other, undecodable bytes included; it never ends in a traceback."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.delenv(CONFIG_ENV, raising=False)
+        path = Path(tmp) / "response.txt"
+        if isinstance(response, bytes):
+            path.write_bytes(response)
+        else:
+            path.write_text(response, encoding="utf-8")
+        try:
+            parse_extraction_response(path.read_text(encoding="utf-8"), "toy")
+            want = 0
+        except (LexchainError, UnicodeDecodeError):
+            want = 2
+        out = Path(tmp) / "toy.json"
+        code = main(["parse-chains", "--charge", "toy", "--response-file", str(path),
+                     "--out", str(out)])
+        assert code == want
+        if want == 0:
+            assert parse_chain_file(out.read_text(encoding="utf-8")).charge == "toy"

@@ -18,10 +18,9 @@ from lexchain.tensor import (
     gather_rows,
     grad_check,
     layer_norm,
-    log_softmax_rows,
+    log_likelihood_rows,
     matmul,
     mul,
-    pick,
     relu,
     sigmoid,
     tmean,
@@ -82,16 +81,20 @@ class TestHandValues:
         np.testing.assert_allclose(sigmoid(x).data, [0.75], atol=1e-12)
 
     def test_softmax_log_integers(self):
-        x = Tensor([[0.0, math.log(2.0), math.log(3.0)]])
+        x = Tensor([[0.0, math.log(2.0), math.log(3.0)]] * 3)
         np.testing.assert_allclose(
-            np.exp(log_softmax_rows(x).data), [[1.0 / 6.0, 2.0 / 6.0, 3.0 / 6.0]], atol=1e-12
+            np.exp(log_likelihood_rows(x, [0, 1, 2]).data), [1.0 / 6.0, 2.0 / 6.0, 3.0 / 6.0],
+            atol=1e-12
         )
 
     def test_log_softmax_matches_log_of_softmax(self):
+        """Each row's entry is the numpy log-softmax at that row's target."""
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(4, 7))
+        x = rng.normal(size=(6, 7)) * 3.0
+        targets = [0, 6, 3, 3, 1, 5]
         np.testing.assert_allclose(
-            log_softmax_rows(Tensor(x)).data, np.log(_np_softmax(x)), atol=1e-12
+            log_likelihood_rows(Tensor(x), targets).data,
+            np.log(_np_softmax(x))[np.arange(6), targets], rtol=0, atol=1e-12
         )
 
     def test_square_gradient_at_three(self):
@@ -217,7 +220,7 @@ class TestKernelGradients:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_softmax_families(self, seed):
-        """The softmax inside attention (masked, 2 heads) and log_softmax_rows."""
+        """The softmax inside attention (masked, 2 heads) and log_likelihood_rows."""
         rng = np.random.default_rng(seed)
         params = _attention_params(rng, 2, d=6, rows=3)
         params["x"] = Tensor(rng.normal(size=(3, 6)) * 2.0)
@@ -227,7 +230,7 @@ class TestKernelGradients:
         def objective(p):
             out, _ = attention(p["x"], p["wq"], p["wk"], p["wv"], p["wo"], mask)
             soft = out * Tensor(weights)
-            logsoft = log_softmax_rows(p["x"]) * Tensor(weights[::-1].copy())
+            logsoft = log_likelihood_rows(p["x"], [5, 0, 2]) * Tensor(weights[::-1, 0].copy())
             return tsum(soft) + tmean(logsoft)
 
         assert _fd(params, objective) < 1e-6
@@ -246,6 +249,7 @@ class TestKernelGradients:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_concat_stack_gather_pick(self, seed):
+        """Concat, gather_rows and the per-row pick of log_likelihood_rows."""
         rng = np.random.default_rng(seed)
         params = {
             "u": Tensor(rng.normal(size=(2, 3))),
@@ -253,13 +257,12 @@ class TestKernelGradients:
             "table": Tensor(rng.normal(size=(5, 3))),
         }
         ids = [0, 2, 2, 4]  # duplicate index exercises scatter-add
-        rows = [0, 1, 2]
-        cols = [1, 0, 2]
+        cols = [1, 0, 2, 2, 0, 1, 1]
 
         def objective(p):
             joined = concat([p["u"], p["v"], gather_rows(p["table"], ids)], axis=0)
             stacked = concat([joined, p["v"]], axis=0)
-            picked = pick(joined, rows, cols)
+            picked = log_likelihood_rows(joined, cols)
             return tsum(stacked) + tsum(picked * picked)
 
         assert _fd(params, objective) < 1e-6
@@ -277,7 +280,7 @@ class TestKernelGradients:
         def objective(p):
             h1 = relu(p["x"] @ p["W1"])
             h2 = sigmoid(h1 @ p["W2"])
-            return tmean(log_softmax_rows(h2 @ p["W3"]))
+            return tmean(log_likelihood_rows(h2 @ p["W3"], [0, 1, 1]))
 
         assert _fd(params, objective) < 1e-5
 
@@ -299,6 +302,27 @@ class TestKernelGradients:
 
         def objective(p):
             out, _ = attention(p["h"], p["wq"], p["wk"], p["wv"], p["wo"], mask)
+            return tsum(out * weights)
+
+        assert _fd(params, objective) < 1e-6
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_log_likelihood_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        params = {"x": Tensor(rng.normal(size=(5, 7)) * 2.0)}
+        targets = rng.integers(0, 7, size=5)
+        weights = Tensor(rng.normal(size=5))
+        assert _fd(params, lambda p: tsum(log_likelihood_rows(p["x"], targets) * weights)) < 1e-6
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_attention_with_query_rows(self, heads):
+        rng = np.random.default_rng(10 + heads)
+        params = _attention_params(rng, heads)
+        mask = _causal(5, rng)[2:]
+        weights = Tensor(rng.normal(size=(3, 8)))
+
+        def objective(p):
+            out, _ = attention(p["h"], p["wq"], p["wk"], p["wv"], p["wo"], mask, first_row=2)
             return tsum(out * weights)
 
         assert _fd(params, objective) < 1e-6
@@ -394,9 +418,21 @@ class TestErrors:
 
     def test_softmax_requires_matrix(self):
         with pytest.raises(ShapeError):
-            log_softmax_rows(Tensor(np.ones(4)))
+            log_likelihood_rows(Tensor(np.ones(4)), [0, 1, 2, 3])
         with pytest.raises(ShapeError):
-            log_softmax_rows(Tensor(np.ones((2, 3, 4))))
+            log_likelihood_rows(Tensor(np.ones((2, 3, 4))), [0, 1])
+
+    def test_log_likelihood_needs_one_target_per_row(self):
+        x = Tensor(np.ones((3, 4)))
+        for targets in ([0, 1], [0, 1, 2, 3], [[0, 1, 2]], 0):
+            with pytest.raises(ShapeError):
+                log_likelihood_rows(x, targets)
+
+    @pytest.mark.parametrize("first_row", [-1, 5])
+    def test_attention_query_rows_must_be_inside_the_rows(self, first_row):
+        p = _attention_params(np.random.default_rng(0), 2)
+        with pytest.raises(ContractError):
+            attention(p["h"], p["wq"], p["wk"], p["wv"], p["wo"], first_row=first_row)
 
     def test_layer_norm_requires_gain_and_bias_of_the_row_width(self):
         x = Tensor(np.ones((2, 4)))
@@ -440,6 +476,49 @@ class TestTapeMechanics:
             backward(outer, tsum(y))
         assert inner_nodes == 3  # two muls and a sum
         np.testing.assert_allclose(x.grad, 4.0)
+
+    def test_backward_sets_grad_only_on_watched_leaves(self):
+        """Constants, intermediates and the loss get no ``.grad``; the watched
+        leaves get the hand-derived gradient of
+        ``sum(scale * (pool @ (x @ w + b)))``."""
+        rng = np.random.default_rng(12)
+        w, b = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=3))
+        x, pool, scale = (Tensor(rng.normal(size=shape)) for shape in ((5, 4), (2, 5), (2, 3)))
+        with Tape() as tape:
+            tape.watch(w, b)
+            h = x @ w + b
+            y = (pool @ h) * scale
+            loss = tsum(y)
+            backward(tape, loss)
+        for t in (x, pool, scale, h, y, loss):
+            assert t.grad is None
+        g_h = pool.data.T @ scale.data
+        np.testing.assert_allclose(w.grad, x.data.T @ g_h, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.grad, g_h.sum(axis=0), rtol=0, atol=1e-12)
+
+    def test_constant_operands_get_no_gradient_computed(self):
+        """``matmul`` and ``mul`` return None for an operand that needs no
+        gradient, and the leaves' gradients are bitwise those of a sweep that
+        also differentiates the constants."""
+        rng = np.random.default_rng(13)
+        w = Tensor(rng.normal(size=(5, 3)))
+        pool, scale = Tensor(rng.normal(size=(2, 5))), Tensor(rng.normal(size=(2, 3)))
+
+        def sweep(*also):
+            with Tape() as tape:
+                tape.watch(w, *also)
+                loss = tsum((pool @ w) * scale)
+                backward(tape, loss)
+            return tape, w.grad.copy()
+
+        tape, leaf_only = sweep()
+        g = np.ones((2, 3))
+        mm_grads, mul_grads = (node.backward_fn(g) for node in tape.nodes[:2])
+        assert mm_grads[0] is None and mm_grads[1].shape == (5, 3)
+        assert mul_grads[0].shape == (2, 3) and mul_grads[1] is None
+        _, with_constants = sweep(pool, scale)
+        np.testing.assert_array_equal(leaf_only, with_constants)
+        assert pool.grad.shape == (2, 5) and scale.grad.shape == (2, 3)
 
     def test_watch_is_idempotent(self):
         x = Tensor([1.0])
@@ -500,3 +579,53 @@ class TestKVCache:
         with pytest.raises(CapacityError):
             attention(p["h"], p["wq"], p["wk"], p["wv"], p["wo"], _causal(5), cache)
         assert cache.used == 0
+
+
+class TestAttentionQueryRows:
+    """Queries from rows ``first_row:`` only: the tail of the full attention."""
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("first_row", [1, 3, 5])
+    def test_tail_rows_and_every_gradient_equal_the_full_attention(self, heads, first_row):
+        rng = np.random.default_rng(20 + heads)
+        p = _attention_params(rng, heads, rows=6)
+        mask = _causal(6, rng)
+        weights = rng.normal(size=(6, 8))
+        weights[:first_row] = 0.0  # the full pass scores the tail rows only
+
+        def run(queries):
+            with Tape() as tape:
+                tape.watch(*p.values())
+                out, probs = attention(p["h"], p["wq"], p["wk"], p["wv"], p["wo"],
+                                       mask[queries:], first_row=queries)
+                backward(tape, tsum(out * Tensor(weights[queries:])))
+            return out.data, probs, {k: t.grad.copy() for k, t in p.items()}
+
+        full, full_probs, full_grads = run(0)
+        tail, tail_probs, tail_grads = run(first_row)
+        assert tail.shape == (6 - first_row, 8) and tail_probs.shape == (heads, 6 - first_row, 6)
+        np.testing.assert_allclose(tail, full[first_row:], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tail_probs, full_probs[:, first_row:], rtol=0, atol=1e-12)
+        for k in p:
+            np.testing.assert_allclose(tail_grads[k], full_grads[k], rtol=0, atol=1e-12,
+                                       err_msg=k)
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_prefill_caches_every_row_and_queries_the_tail(self, heads):
+        """A cached prefill with query rows gives the full attention's tail
+        rows and caches every row's key and value, so a later row sees them."""
+        rng = np.random.default_rng(30 + heads)
+        p = _attention_params(rng, heads, rows=7)
+        w = [p[k] for k in ("wq", "wk", "wv", "wo")]
+        full, full_probs = attention(p["h"], *w, _causal(7))
+        cache = KVCache(8, heads, 8 // heads)
+        tail, probs = attention(Tensor(p["h"].data[:6]), *w, _causal(6)[3:], cache, first_row=3)
+        assert cache.used == 6
+        np.testing.assert_allclose(cache.k[:, :6], p["h"].data[:6] @ p["wk"].data,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cache.v[:, :6], p["h"].data[:6] @ p["wv"].data,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tail.data, full.data[3:6], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(probs, full_probs[:, 3:6, :6], rtol=0, atol=1e-12)
+        last, _ = attention(Tensor(p["h"].data[6:]), *w, cache=cache)
+        np.testing.assert_allclose(last.data, full.data[6:], rtol=0, atol=1e-12)

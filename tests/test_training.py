@@ -11,10 +11,11 @@ from lexchain.chains import ChainSet, SentencingRange, chain_from_text, load_cha
 from lexchain.checkpoint import load_checkpoint
 from lexchain.cli import default_chains_dir
 from lexchain.corpus import CaseRecord, CorpusSplit, synthesize_corpus, split
+from lexchain import model as model_module
 from lexchain import training as training_module
 from lexchain.errors import ConfigurationError, ContractError, EvaluationError
-from lexchain.model import decode_case
-from lexchain.tensor import Tensor
+from lexchain.model import ModelConfig, build_model, decode_case, decode_cases, joint_loss
+from lexchain.tensor import Tape, Tensor
 from lexchain.training import (
     LOG_HEADER,
     AdamState,
@@ -360,6 +361,33 @@ class TestHeldoutEvaluation:
         assert set(opinions) == {rec.case_id for rec in parts.test}
         assert all(isinstance(text, str) for text in opinions.values())
 
+    def test_each_charge_is_encoded_once(self, library, monkeypatch):
+        """Decoding 24 cases of 12 charges encodes 12 chain sets, one per
+        charge, and gives the opinions of decoding case by case."""
+        records = synthesize_corpus(seed=3, library=library, cases_per_charge=2)
+        charges = sorted({rec.charge for rec in records})
+        assert len(records) == 24 and len(charges) == 12
+        model = build_model(training_vocab(records, library), charges,
+                            ModelConfig(d=8, enc_heads=2, dec_heads=2, layers=1, context=224),
+                            seed=0)
+        chain_map = {charge: library[charge] for charge in charges}
+        encoded = []
+        original = model_module.encode_chain_set
+
+        def counting(cs, *args, **kwargs):
+            encoded.append(cs.charge)
+            return original(cs, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "encode_chain_set", counting)
+        opinions = heldout_predictions(model, records, chain_map, max_len=8)
+        assert sorted(encoded) == charges
+        tokens = [out.token_ids for out in decode_cases(model, records, chain_map, max_len=8)]
+        assert len(encoded) == 24
+        one_by_one = [decode_case(model, rec, chain_map[rec.charge], max_len=8) for rec in records]
+        assert len(encoded) == 48
+        assert tokens == [out.token_ids for out in one_by_one]
+        assert opinions == {rec.case_id: out.text for rec, out in zip(records, one_by_one)}
+
     def test_evaluate_heldout_reports_metrics(self, driving_corpus, library):
         parts = split(driving_corpus, 0.8, seed=0)
         result = train(parts, library, _tiny_cfg(epochs=1, max_gen_len=40))
@@ -393,3 +421,21 @@ class TestFullPipelineGradcheck:
         err, scalars = gradcheck_full_pipeline(seed=0, d=8, heads=2, layers=1)
         assert scalars > 1000
         assert err < 1e-4
+
+
+def test_joint_loss_records_a_fixed_number_of_tape_nodes(library):
+    """Tooling guard: a fixed 4-case batch at the acceptance config (d=32,
+    4+4 heads, 2 layers, seed 0; four cases of four charges) records this many
+    tape nodes.  A change that records more or fewer updates the count here
+    and reports it."""
+    parts = split(synthesize_corpus(seed=0, library=library, cases_per_charge=20), 0.8, seed=0)
+    cfg = TrainConfig(lr=3e-3, batch_size=4, seed=0, dropout=0.0, heads=4, dec_heads=4, d=32,
+                      layers=2, context=256)
+    charges = sorted({rec.charge for rec in parts.train + parts.test})
+    model = build_model(training_vocab(parts.train, library), charges, cfg.model_config(), 0)
+    batch = [(rec, library[rec.charge]) for rec in parts.train[::len(parts.train) // 4]]
+    assert len({rec.charge for rec, _ in batch}) == 4
+    with Tape() as tape:
+        tape.watch(*model.params.values())
+        joint_loss(batch, model)
+    assert len(tape.nodes) == 239
