@@ -14,7 +14,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ContractError, ExtractionError, ParseError, ValidationError, parse_json
+from .errors import (ContractError, ExtractionError, ParseError, ValidationError, parse_json,
+                     read_text)
 from .tokenizer import tokenize
 
 # ---------------------------------------------------------------------------
@@ -365,7 +366,7 @@ def load_chain_library(path: str | Path) -> dict[str, ChainSet]:
         raise ValidationError(f"no chain files found under {p}")
     library: dict[str, ChainSet] = {}
     for f in files:
-        cs = parse_chain_file(f.read_text(encoding="utf-8"))
+        cs = parse_chain_file(read_text(f, lambda reason: ParseError(f"chain file {f} is {reason}")))
         if cs.charge in library:
             raise ValidationError(f"duplicate chain set for charge {cs.charge!r} in {f.name}")
         library[cs.charge] = cs

@@ -19,7 +19,7 @@ import numpy as np
 
 from .encoder import EmbeddingTable
 from .errors import ValidationError, parse_json
-from .model import Model, ModelConfig, param_shapes, stack_heads
+from .model import Model, ModelConfig, param_shapes
 from .tensor import Tensor
 
 FORMAT_VERSION = 2
@@ -94,7 +94,7 @@ def load_checkpoint(path: str | Path) -> tuple[Model, dict]:
                 )
             params[spec["name"]] = Tensor(arr, requires_grad=True, name=spec["name"])
     if version == 1:
-        stack_heads(params, cfg)
+        _stack_heads(params, cfg)
     vocab = {tok: i for i, tok in enumerate(manifest["vocab"])}
     _check_params(params, cfg, len(vocab), manifest["charges"], path)
     table = EmbeddingTable(vocab, params["embed"])
@@ -129,6 +129,27 @@ def _read_manifest(zf: zipfile.ZipFile, path: str | Path) -> dict:
     if not all(type(v) is int for v in config.values()):
         raise ValidationError(f"{path} manifest config values must be integers: {config}")
     return manifest
+
+
+def _stack_heads(params: dict[str, Tensor], cfg: ModelConfig) -> None:
+    """Replace a format-1 archive's per-head attention weights ``{block}.{i}.W*``
+    by one ``{block}.W*`` with the head on the leading axis.
+
+    Raises ValidationError when a head's weight is missing or misshapen.
+    """
+    for name, shape in param_shapes(cfg, 0, []).items():
+        if len(shape) != 3:  # only attention weights carry a head axis
+            continue
+        block, _, weight = name.rpartition(".")
+        heads = []
+        for i in range(shape[0]):
+            head_name = f"{block}.{i}.{weight}"
+            t = params.pop(head_name, None)
+            if t is None or t.shape != shape[1:]:
+                raise ValidationError(f"format-1 weight {head_name!r} is missing "
+                                      f"or not of shape {shape[1:]}")
+            heads.append(t.data)
+        params[name] = Tensor(np.stack(heads), requires_grad=True, name=name)
 
 
 def _check_params(params: dict[str, Tensor], cfg: ModelConfig, vocab_size: int,

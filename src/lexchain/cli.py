@@ -31,7 +31,7 @@ from .client import CompletionClient
 from .corpus import load_jsonl, save_jsonl, split, synthesize_corpus
 from .checkpoint import load_checkpoint
 from .errors import (ConfigurationError, ExtractionError, LexchainError, UsageError,
-                     parse_json)
+                     ValidationError, parse_json, read_text)
 from .metrics import evaluate_outputs, screen_corpus
 from .model import decode_cases
 from .training import TrainConfig, gradcheck_full_pipeline, train
@@ -64,20 +64,20 @@ def _emit(text: str, out: str | None) -> None:
 def _read_opinions(path: str) -> dict[str, str]:
     opinions: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            row = parse_json(line, lambda reason, _: UsageError(
-                f"{path}:{lineno}: not valid JSON: {reason}"))
-            if not isinstance(row, dict) or "case_id" not in row or "opinion" not in row:
-                raise UsageError(f"{path}:{lineno}: each line needs case_id and opinion")
-            case_id = str(row["case_id"])
-            if case_id in first_line:
-                raise UsageError(f"{path}:{lineno}: duplicate case_id {case_id!r} "
-                                 f"(first at line {first_line[case_id]})")
-            first_line[case_id] = lineno
-            opinions[case_id] = str(row["opinion"])
+    text = read_text(path, lambda reason: UsageError(f"{path} is {reason}"))
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        row = parse_json(line, lambda reason, _: UsageError(
+            f"{path}:{lineno}: not valid JSON: {reason}"))
+        if not isinstance(row, dict) or "case_id" not in row or "opinion" not in row:
+            raise UsageError(f"{path}:{lineno}: each line needs case_id and opinion")
+        case_id = str(row["case_id"])
+        if case_id in first_line:
+            raise UsageError(f"{path}:{lineno}: duplicate case_id {case_id!r} "
+                             f"(first at line {first_line[case_id]})")
+        first_line[case_id] = lineno
+        opinions[case_id] = str(row["opinion"])
     if not opinions:
         raise UsageError(f"{path}: no opinions found")
     return opinions
@@ -103,7 +103,8 @@ def _trained_with_chains(extra: dict) -> bool:
 
 
 def cmd_extract_prompt(args) -> int:
-    provision = Path(args.provision_file).read_text(encoding="utf-8")
+    provision = read_text(args.provision_file,
+                          lambda reason: ValidationError(f"provision file is {reason}"))
     prompt = build_extraction_prompt(provision, args.charge)
     if args.llm_endpoint:
         client = CompletionClient(args.llm_endpoint, timeout=args.timeout)
@@ -118,10 +119,8 @@ def cmd_extract_prompt(args) -> int:
 
 
 def cmd_parse_chains(args) -> int:
-    try:
-        response = Path(args.response_file).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ExtractionError(f"response file is not UTF-8 text: {exc}") from exc
+    response = read_text(args.response_file,
+                         lambda reason: ExtractionError(f"response file is {reason}"))
     chain_set, diagnostics = parse_extraction_response(response, args.charge)
     for note in diagnostics:
         print(f"note: {note}", file=sys.stderr)
@@ -375,7 +374,7 @@ def _apply_env_config(parser: _Parser, argv: list[str]) -> None:
     if not path:
         return
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = read_text(path, lambda reason: UsageError(f"{CONFIG_ENV} file {path!r} is {reason}"))
     except OSError as exc:
         raise UsageError(f"cannot read {CONFIG_ENV} file {path!r}: {exc}") from exc
     doc = parse_json(raw, lambda reason, _: UsageError(

@@ -99,30 +99,34 @@ def _record_from_dict(obj: dict, line_no: int) -> CaseRecord:
 
 
 def load_jsonl(path: str | Path, lenient: bool = False) -> list[CaseRecord]:
-    """Read case records, one JSON object per line.
+    """Read case records, one JSON object per line; each line is decoded as
+    UTF-8 on its own.
 
     Fail-fast by default; ``lenient`` skips bad lines with a warning instead.
     A ``case_id`` seen on an earlier line makes the later line bad.
     """
     records: list[CaseRecord] = []
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    for line_no, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not UTF-8 text: {exc}", line=line_no) from exc
             if not line.strip():
                 continue
-            try:
-                obj = parse_json(line, lambda reason, _: ParseError(f"invalid JSON: {reason}",
-                                                                    line=line_no))
-                record = _record_from_dict(obj, line_no)
-                if record.case_id in first_line:
-                    raise ParseError(f"duplicate case_id {record.case_id!r}, first at line "
-                                     f"{first_line[record.case_id]}", line=line_no)
-                first_line[record.case_id] = line_no
-                records.append(record)
-            except (ParseError, ValidationError) as exc:
-                if not lenient:
-                    raise
-                warnings.warn(f"skipping bad record at {path} line {line_no}: {exc}")
+            obj = parse_json(line, lambda reason, _: ParseError(f"invalid JSON: {reason}",
+                                                                line=line_no))
+            record = _record_from_dict(obj, line_no)
+            if record.case_id in first_line:
+                raise ParseError(f"duplicate case_id {record.case_id!r}, first at line "
+                                 f"{first_line[record.case_id]}", line=line_no)
+            first_line[record.case_id] = line_no
+            records.append(record)
+        except (ParseError, ValidationError) as exc:
+            if not lenient:
+                raise
+            warnings.warn(f"skipping bad record at {path} line {line_no}: {exc}")
     return records
 
 

@@ -96,11 +96,6 @@ def embed_components(texts: Sequence[str], table: EmbeddingTable) -> Tensor:
     return T.matmul(Tensor(averaging), T.gather_rows(table.matrix, ids))
 
 
-def embed_component(text: str, table: EmbeddingTable) -> Tensor:
-    """Mean of the token embedding rows of one text as a 1 x d tensor."""
-    return embed_components([text], table)
-
-
 @dataclass
 class EncodedChainSet:
     """The n x d chain matrix plus head-averaged 3x3 attention diagnostics."""

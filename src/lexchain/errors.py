@@ -5,6 +5,7 @@ validation failures exit 2, and I/O failures (plain ``OSError``) exit 3.
 """
 
 import json
+from pathlib import Path
 from typing import Callable
 
 
@@ -72,3 +73,12 @@ def parse_json(text: str, error: Callable[[str, int | None], LexchainError]):
         raise error("nested too deeply", None) from exc
     except ValueError as exc:
         raise error(str(exc), None) from exc
+
+
+def read_text(path: str | Path, error: Callable[[str], LexchainError]) -> str:
+    """The UTF-8 text of the file at ``path``: content that is not UTF-8
+    raises ``error(reason)``; a file that cannot be read stays ``OSError``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"not UTF-8 text: {exc}") from exc

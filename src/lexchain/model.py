@@ -63,61 +63,72 @@ class Model:
         return self.table.matrix.shape[0]
 
 
+_ATTENTION = ("Wq", "Wk", "Wv", "Wo")
+
+
+def _layout(cfg: ModelConfig, vocab_size: int,
+            charges: Sequence[str]) -> list[tuple[str, tuple[int, ...], str]]:
+    """``(name, shape, init)`` of every parameter, in the order
+    :func:`build_model` draws them.  ``init`` is ``uniform``, ``zeros``,
+    ``ones``, or ``heads`` for an attention weight: ``(heads, d, dh)`` for
+    ``Wq``, ``Wk`` and ``Wv``, ``(heads, dh, d)`` for ``Wo``, listed in that
+    order."""
+    d = cfg.d
+    layout = [("embed", (vocab_size, d), "uniform"), ("pos", (cfg.context, d), "uniform")]
+
+    def linear(name: str, fan_in: int, fan_out: int, suffix: str = "") -> None:
+        layout.extend([(f"{name}.W{suffix}", (fan_in, fan_out), "uniform"),
+                       (f"{name}.b{suffix}", (fan_out,), "zeros")])
+
+    def norm(name: str) -> None:
+        layout.extend([(f"{name}.g", (d,), "ones"), (f"{name}.b", (d,), "zeros")])
+
+    def attention_block(block: str, heads: int) -> None:
+        dh = d // heads
+        layout.extend((f"{block}.{w}", (heads, dh, d) if w == "Wo" else (heads, d, dh), "heads")
+                      for w in _ATTENTION)
+
+    attention_block("enc.attn", cfg.enc_heads)
+    for name in ("enc.G1", "enc.G2", "enc.gate"):
+        linear(name, d, d)
+    linear("enc.fusion", 2 * d, d)
+    for charge in charges:
+        linear(f"enc.charge.{charge}", d, d)
+    for layer in range(cfg.layers):
+        norm(f"dec.{layer}.ln1")
+        attention_block(f"dec.{layer}.attn", cfg.dec_heads)
+        norm(f"dec.{layer}.ln2")
+        linear(f"dec.{layer}.ffn", d, 4 * d, "1")
+        linear(f"dec.{layer}.ffn", 4 * d, d, "2")
+    norm("dec.lnf")
+    linear("dec.out", d, vocab_size)
+    return layout
+
+
 def build_model(vocab: dict[str, int], charges: Sequence[str], cfg: ModelConfig,
                 seed: int) -> Model:
-    """Create all parameters in a fixed order from one seeded stream.
+    """Create all parameters in :func:`_layout` order from one seeded stream.
 
     Projection weights are uniform in (-1/sqrt(d), 1/sqrt(d)); biases start at
-    zero; layer-norm gains at one.  Attention weights are drawn head by head
-    in the layout of checkpoint format 1 and then stacked by
-    :func:`stack_heads`, so the initial weights do not depend on the layout.
+    zero; layer-norm gains at one.  An attention block's four weights come
+    from one (heads, 4, d * dh) draw: head by head, ``Wq``, ``Wk``, ``Wv`` and
+    ``Wo`` in turn, which is the stream order of drawing each head's weights
+    one after another.
     """
     rng = np.random.default_rng(seed)
-    d = cfg.d
-    scale = 1.0 / np.sqrt(d)
+    scale = 1.0 / np.sqrt(cfg.d)
     params: dict[str, Tensor] = {}
-
-    def uniform(name: str, shape: tuple[int, ...]) -> None:
-        params[name] = Tensor(rng.uniform(-scale, scale, shape), requires_grad=True, name=name)
-
-    def zeros(name: str, shape: tuple[int, ...]) -> None:
-        params[name] = Tensor(np.zeros(shape), requires_grad=True, name=name)
-
-    def ones(name: str, shape: tuple[int, ...]) -> None:
-        params[name] = Tensor(np.ones(shape), requires_grad=True, name=name)
-
-    V = len(vocab)
-    uniform("embed", (V, d))
-    uniform("pos", (cfg.context, d))
-    for _, name, shape in _format1_heads("enc.attn", cfg.enc_heads, d):
-        uniform(name, shape)
-    uniform("enc.G1.W", (d, d))
-    zeros("enc.G1.b", (d,))
-    uniform("enc.G2.W", (d, d))
-    zeros("enc.G2.b", (d,))
-    uniform("enc.gate.W", (d, d))
-    zeros("enc.gate.b", (d,))
-    uniform("enc.fusion.W", (2 * d, d))
-    zeros("enc.fusion.b", (d,))
-    for charge in sorted(charges):
-        uniform(f"enc.charge.{charge}.W", (d, d))
-        zeros(f"enc.charge.{charge}.b", (d,))
-    for layer in range(cfg.layers):
-        ones(f"dec.{layer}.ln1.g", (d,))
-        zeros(f"dec.{layer}.ln1.b", (d,))
-        for _, name, shape in _format1_heads(f"dec.{layer}.attn", cfg.dec_heads, d):
-            uniform(name, shape)
-        ones(f"dec.{layer}.ln2.g", (d,))
-        zeros(f"dec.{layer}.ln2.b", (d,))
-        uniform(f"dec.{layer}.ffn.W1", (d, 4 * d))
-        zeros(f"dec.{layer}.ffn.b1", (4 * d,))
-        uniform(f"dec.{layer}.ffn.W2", (4 * d, d))
-        zeros(f"dec.{layer}.ffn.b2", (d,))
-    ones("dec.lnf.g", (d,))
-    zeros("dec.lnf.b", (d,))
-    uniform("dec.out.W", (d, V))
-    zeros("dec.out.b", (V,))
-    stack_heads(params, cfg)
+    for name, shape, init in _layout(cfg, len(vocab), sorted(charges)):
+        if init == "heads":
+            w = _ATTENTION.index(name.rpartition(".")[2])
+            if w == 0:
+                heads = rng.uniform(-scale, scale, (shape[0], len(_ATTENTION), shape[1] * shape[2]))
+            data = heads[:, w].reshape(shape)
+        elif init == "uniform":
+            data = rng.uniform(-scale, scale, shape)
+        else:
+            data = np.zeros(shape) if init == "zeros" else np.ones(shape)
+        params[name] = Tensor(data, requires_grad=True, name=name)
     table = EmbeddingTable(vocab, params["embed"])
     return Model(cfg, table, sorted(charges), params)
 
@@ -125,58 +136,8 @@ def build_model(vocab: dict[str, int], charges: Sequence[str], cfg: ModelConfig,
 def param_shapes(cfg: ModelConfig, vocab_size: int,
                  charges: Sequence[str]) -> dict[str, tuple[int, ...]]:
     """Name and shape of every parameter of a model built by :func:`build_model`
-    with this config, vocabulary size and charges (attention weights stacked)."""
-    d = cfg.d
-    shapes: dict[str, tuple[int, ...]] = {"embed": (vocab_size, d), "pos": (cfg.context, d)}
-
-    def attention_block(block: str, heads: int) -> None:
-        dh = d // heads
-        shapes.update({f"{block}.Wq": (heads, d, dh), f"{block}.Wk": (heads, d, dh),
-                       f"{block}.Wv": (heads, d, dh), f"{block}.Wo": (heads, dh, d)})
-
-    attention_block("enc.attn", cfg.enc_heads)
-    for name in ("enc.G1", "enc.G2", "enc.gate", *(f"enc.charge.{c}" for c in charges)):
-        shapes.update({f"{name}.W": (d, d), f"{name}.b": (d,)})
-    shapes.update({"enc.fusion.W": (2 * d, d), "enc.fusion.b": (d,)})
-    for layer in range(cfg.layers):
-        block = f"dec.{layer}"
-        attention_block(f"{block}.attn", cfg.dec_heads)
-        for norm in ("ln1", "ln2"):
-            shapes.update({f"{block}.{norm}.g": (d,), f"{block}.{norm}.b": (d,)})
-        shapes.update({f"{block}.ffn.W1": (d, 4 * d), f"{block}.ffn.b1": (4 * d,),
-                       f"{block}.ffn.W2": (4 * d, d), f"{block}.ffn.b2": (d,)})
-    shapes.update({"dec.lnf.g": (d,), "dec.lnf.b": (d,),
-                   "dec.out.W": (d, vocab_size), "dec.out.b": (vocab_size,)})
-    return shapes
-
-
-def _format1_heads(block: str, heads: int, d: int) -> list[tuple[str, str, tuple[int, int]]]:
-    """Checkpoint-format-1 weights of one attention block, in the order
-    :func:`build_model` draws them: (stacked name, per-head name, shape)."""
-    dh = d // heads
-    shapes = {"Wq": (d, dh), "Wk": (d, dh), "Wv": (d, dh), "Wo": (dh, d)}
-    return [(f"{block}.{w}", f"{block}.{i}.{w}", shapes[w])
-            for i in range(heads) for w in ("Wq", "Wk", "Wv", "Wo")]
-
-
-def stack_heads(params: MutableMapping[str, Tensor], cfg: ModelConfig) -> None:
-    """Replace every attention block's format-1 per-head weights
-    ``{block}.{i}.W*`` by one ``{block}.W*`` with the head on the leading axis.
-
-    Raises ValidationError when a head's weight is missing or misshapen.
-    """
-    blocks = [("enc.attn", cfg.enc_heads)]
-    blocks += [(f"dec.{layer}.attn", cfg.dec_heads) for layer in range(cfg.layers)]
-    for block, heads in blocks:
-        stacked: dict[str, list[np.ndarray]] = {}
-        for name, head_name, shape in _format1_heads(block, heads, cfg.d):
-            t = params.pop(head_name, None)
-            if t is None or t.shape != shape:
-                raise ValidationError(f"format-1 weight {head_name!r} is missing "
-                                      f"or not of shape {shape}")
-            stacked.setdefault(name, []).append(t.data)
-        for name, arrays in stacked.items():
-            params[name] = Tensor(np.stack(arrays), requires_grad=True, name=name)
+    with this config, vocabulary size and charges."""
+    return {name: shape for name, shape, _ in _layout(cfg, vocab_size, charges)}
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ Array = np.ndarray
 class Tensor:
     """A dense double-precision array, optionally tracked on the active tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "node_id")
+    __slots__ = ("data", "requires_grad", "grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         # C-contiguous float64 arrays (kernel outputs) are kept as they are;
@@ -40,7 +40,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: Array | None = None
         self.name = name
-        self.node_id: int | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -136,7 +135,6 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> T
     if _TAPE_STACK and any(t.requires_grad for t in inputs):
         tape = _TAPE_STACK[-1]
         out.requires_grad = True
-        out.node_id = len(tape.nodes)
         tape.nodes.append(_TapeNode(out, inputs, backward_fn))
     return out
 

@@ -98,10 +98,14 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so their global norm is at most ``max_norm``."""
+    """Scale all gradients so their global norm is at most ``max_norm``.
+
+    The squares are summed in name order, as :func:`adam_step` iterates, so
+    the norm does not depend on the order of ``grads``.
+    """
     total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
+    for name in sorted(grads):
+        total += float(np.sum(grads[name] * grads[name]))
     norm = math.sqrt(total)
     if max_norm > 0 and norm > max_norm:
         factor = max_norm / norm

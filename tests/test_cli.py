@@ -671,6 +671,39 @@ class TestEnvConfig:
         assert main(["synth-corpus", "--out", str(tmp_path / "c.jsonl")]) == 1
 
 
+class TestNonUtf8Inputs:
+    """A text input that is not UTF-8 ends in the exit code its malformed
+    content gets, with a one-line message, never a traceback."""
+
+    @pytest.mark.parametrize("kind, code", [
+        ("chain-file", 2), ("corpus", 2), ("opinions", 1), ("config", 1),
+        ("provision", 2), ("response", 2),
+    ])
+    def test_exit_code_without_traceback(self, workspace, tmp_path, monkeypatch, capsys,
+                                         kind, code):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"case_id": "caf\xe9"}\n')
+        out = str(tmp_path / "out.json")
+        argv = {
+            "chain-file": ["validate-chains", "--chains", str(bad), "--out", out],
+            "corpus": ["screen", "--corpus", str(bad), "--chains", str(workspace["chains"]),
+                       "--out", out],
+            "opinions": ["evaluate", "--corpus", str(workspace["corpus"]),
+                         "--opinions", str(bad), "--out", out],
+            "config": ["validate-chains", "--out", out],
+            "provision": ["extract-prompt", "--charge", "x", "--provision-file", str(bad),
+                          "--out", out],
+            "response": ["parse-chains", "--charge", "x", "--response-file", str(bad),
+                         "--out", out],
+        }[kind]
+        if kind == "config":
+            monkeypatch.setenv(CONFIG_ENV, str(bad))
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: " if code == 1 else "error: ")
+        assert "not UTF-8 text" in err and "Traceback" not in err
+
+
 class TestByteReproducibility:
     """Identical invocations produce identical bytes, files included."""
 

@@ -189,6 +189,19 @@ class TestJsonl:
         with pytest.warns(UserWarning, match="line 2: invalid JSON: nested too deeply"):
             assert load_jsonl(path, lenient=True) == [corpus[0]]
 
+    def test_line_that_is_not_utf8_is_a_bad_line(self, tmp_path, corpus):
+        """Each line is decoded on its own: bytes that are not UTF-8 are a
+        ParseError naming the line, or a skipped line in lenient mode, not a
+        UnicodeDecodeError."""
+        first, second = (json.dumps(rec.to_dict()).encode("utf-8") for rec in corpus[:2])
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(first + b'\n{"case_id": "caf\xe9"}\n' + second + b"\n")
+        with pytest.raises(ParseError, match="not UTF-8 text") as exc:
+            load_jsonl(path)
+        assert exc.value.line == 2
+        with pytest.warns(UserWarning, match="line 2: not UTF-8 text"):
+            assert load_jsonl(path, lenient=True) == corpus[:2]
+
     def test_blank_lines_are_skipped(self, tmp_path, corpus):
         first, second = (json.dumps(rec.to_dict()) for rec in corpus[:2])
         path = tmp_path / "gaps.jsonl"

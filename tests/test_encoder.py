@@ -16,7 +16,7 @@ from lexchain.encoder import (
     attention,
     build_vocab,
     crime_transform,
-    embed_component,
+    embed_components,
     encode_chain,
     encode_chain_set,
     ensure_charge,
@@ -102,14 +102,14 @@ class TestEmbedComponent:
         matrix[vocab["a"]] = [1.0, 2.0, 3.0]
         matrix[vocab["b"]] = [3.0, 4.0, 5.0]
         table = EmbeddingTable(vocab, Tensor(matrix))
-        out = embed_component("a b", table)
+        out = embed_components(["a b"], table)
         np.testing.assert_allclose(out.data, [[2.0, 3.0, 4.0]])
 
     def test_empty_text_warns_and_zeros(self):
         vocab = build_vocab(["a"])
         table = EmbeddingTable(vocab, Tensor(np.ones((len(vocab), 3))))
         with pytest.warns(UserWarning):
-            out = embed_component("", table)
+            out = embed_components([""], table)
         np.testing.assert_allclose(out.data, np.zeros((1, 3)))
 
 
@@ -129,9 +129,9 @@ class TestAttention:
                 t.data[...] = 0.0
         r, _ = encode_chain(cs.chains[0], model.table, model.params, model.cfg.enc_heads)
         h = np.concatenate([
-            embed_component(cs.chains[0].premise_text, model.table).data,
-            embed_component(cs.chains[0].situation_text, model.table).data,
-            embed_component(cs.chains[0].conclusion_text(), model.table).data,
+            embed_components([cs.chains[0].premise_text], model.table).data,
+            embed_components([cs.chains[0].situation_text], model.table).data,
+            embed_components([cs.chains[0].conclusion_text()], model.table).data,
         ])
         np.testing.assert_allclose(r.data, h.mean(axis=0, keepdims=True), atol=1e-12)
 
@@ -166,7 +166,7 @@ class TestAttention:
         assert isinstance(probs, np.ndarray)
         np.testing.assert_allclose(probs.sum(axis=2), np.ones((2, 3)), atol=1e-12)
         _, w = encode_chain(cs.chains[0], model.table, model.params, 2)
-        h_chain = concat([embed_component(text, model.table) for text in (
+        h_chain = concat([embed_components([text], model.table) for text in (
             cs.chains[0].premise_text, cs.chains[0].situation_text,
             cs.chains[0].conclusion_text())], axis=0)
         _, chain_probs = attention(h_chain, model.params, "enc.attn", 2)

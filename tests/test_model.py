@@ -143,19 +143,53 @@ class TestBuildModel:
         assert model.table.matrix is model.params["embed"]
 
     def test_attention_weights_stack_heads_in_draw_order(self):
-        """Head i of each stacked weight holds what one seeded stream draws for
-        it when the heads are drawn one after another."""
-        model, _, _ = _fixture(d=8, heads=2, layers=1, seed=3)
-        d, dh, scale = 8, 4, 1.0 / np.sqrt(8)
-        rng = np.random.default_rng(3)
-        rng.uniform(-scale, scale, (model.vocab_size, d))
-        rng.uniform(-scale, scale, (model.cfg.context, d))
-        for i in range(2):
-            for w, shape in (("Wq", (d, dh)), ("Wk", (d, dh)), ("Wv", (d, dh)), ("Wo", (dh, d))):
-                np.testing.assert_array_equal(model.params[f"enc.attn.{w}"].data[i],
-                                              rng.uniform(-scale, scale, shape))
-        assert sorted(name for name in model.params if ".attn." in name) == [
-            f"{block}.{w}" for block in ("dec.0.attn", "enc.attn") for w in ("Wk", "Wo", "Wq", "Wv")]
+        """Every parameter equals what one seeded stream gives when each weight
+        is drawn in turn and each attention block's weights head by head:
+        head i of a stacked weight holds head i's draw."""
+        d, heads, layers, seed = 16, 4, 2, 3
+        model, _, _ = _fixture(d=d, heads=heads, layers=layers, seed=seed)
+        dh, scale, V = d // heads, 1.0 / np.sqrt(d), model.vocab_size
+        rng = np.random.default_rng(seed)
+        expected = {}
+
+        def uniform(name, shape):
+            expected[name] = rng.uniform(-scale, scale, shape)
+
+        def constant(name, value, size):
+            expected[name] = np.full(size, value)
+
+        def attention_block(block):
+            drawn = [{w: rng.uniform(-scale, scale, shape) for w, shape in (
+                ("Wq", (d, dh)), ("Wk", (d, dh)), ("Wv", (d, dh)), ("Wo", (dh, d)))}
+                for _ in range(heads)]
+            for w in ("Wq", "Wk", "Wv", "Wo"):
+                expected[f"{block}.{w}"] = np.stack([head[w] for head in drawn])
+
+        uniform("embed", (V, d))
+        uniform("pos", (model.cfg.context, d))
+        attention_block("enc.attn")
+        for name in ("enc.G1", "enc.G2", "enc.gate", "enc.fusion", "enc.charge.toyoffense"):
+            uniform(f"{name}.W", (2 * d if name == "enc.fusion" else d, d))
+            constant(f"{name}.b", 0.0, d)
+        for layer in range(layers):
+            block = f"dec.{layer}"
+            constant(f"{block}.ln1.g", 1.0, d)
+            constant(f"{block}.ln1.b", 0.0, d)
+            attention_block(f"{block}.attn")
+            constant(f"{block}.ln2.g", 1.0, d)
+            constant(f"{block}.ln2.b", 0.0, d)
+            uniform(f"{block}.ffn.W1", (d, 4 * d))
+            constant(f"{block}.ffn.b1", 0.0, 4 * d)
+            uniform(f"{block}.ffn.W2", (4 * d, d))
+            constant(f"{block}.ffn.b2", 0.0, d)
+        constant("dec.lnf.g", 1.0, d)
+        constant("dec.lnf.b", 0.0, d)
+        uniform("dec.out.W", (d, V))
+        constant("dec.out.b", 0.0, V)
+        assert sorted(model.params) == sorted(expected)
+        for name, want in expected.items():
+            got = model.params[name].data
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), name
 
 
 class TestCombine:

@@ -456,7 +456,7 @@ class TestTapeMechanics:
     def test_no_recording_outside_tape(self):
         x = Tensor([1.0], requires_grad=True)
         y = x * x
-        assert y.node_id is None and not y.requires_grad
+        assert not y.requires_grad
 
     def test_no_recording_without_requires_grad(self):
         with Tape() as tape:

@@ -217,6 +217,23 @@ class TestTrainLoop:
         for name, tensor in first.model.params.items():
             np.testing.assert_array_equal(tensor.data, second.model.params[name].data)
 
+    def test_checkpoint_does_not_depend_on_the_parameter_order(self, driving_corpus, library,
+                                                               tmp_path, monkeypatch):
+        """A model holding its parameters in another order (a loaded one holds
+        them sorted by name) trains to the same checkpoint bytes."""
+        parts = split(driving_corpus, 0.8, seed=0)
+        cfg = _tiny_cfg(epochs=2, max_gen_len=8)
+        train(parts, library, cfg, checkpoint_path=tmp_path / "built.zip")
+
+        def build_reversed(*args):
+            model = build_model(*args)
+            model.params = dict(reversed(model.params.items()))
+            return model
+
+        monkeypatch.setattr(training_module, "build_model", build_reversed)
+        train(parts, library, cfg, checkpoint_path=tmp_path / "reversed.zip")
+        assert (tmp_path / "built.zip").read_bytes() == (tmp_path / "reversed.zip").read_bytes()
+
     def test_seed_changes_trajectory(self, driving_corpus, library):
         parts = split(driving_corpus, 0.8, seed=0)
         a = train(parts, library, _tiny_cfg(epochs=1, seed=0))
