@@ -28,13 +28,13 @@ from .chains import (
     validate_chain_set,
 )
 from .client import CompletionClient
-from .corpus import load_jsonl, save_jsonl, split, synthesize_corpus
+from .corpus import CaseRecord, load_jsonl, save_jsonl, split, synthesize_corpus
 from .checkpoint import load_checkpoint
-from .errors import (ConfigurationError, ExtractionError, LexchainError, UsageError,
-                     ValidationError, parse_json, read_text)
+from .errors import (ExtractionError, LexchainError, UsageError, ValidationError,
+                     parse_json, read_text)
 from .metrics import evaluate_outputs, screen_corpus
 from .model import decode_cases
-from .training import TrainConfig, gradcheck_full_pipeline, train
+from .training import TrainConfig, charge_chains, gradcheck_full_pipeline, train
 
 CONFIG_ENV = "CHAIN_REASONER_CONFIG"
 
@@ -61,7 +61,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _read_opinions(path: str) -> dict[str, str]:
+def _read_opinions(path: str, records: list[CaseRecord]) -> dict[str, str]:
+    """case_id -> opinion from a JSONL opinions file that covers every record."""
     opinions: dict[str, str] = {}
     first_line: dict[str, int] = {}
     text = read_text(path, lambda reason: UsageError(f"{path} is {reason}"))
@@ -80,15 +81,10 @@ def _read_opinions(path: str) -> dict[str, str]:
         opinions[case_id] = str(row["opinion"])
     if not opinions:
         raise UsageError(f"{path}: no opinions found")
-    return opinions
-
-
-def _chain_map(chains_dir: str, charges: list[str]) -> dict:
-    library = load_chain_library(chains_dir)
-    missing = [c for c in charges if c not in library]
+    missing = [r.case_id for r in records if r.case_id not in opinions]
     if missing:
-        raise ConfigurationError(f"no chain sets for charges: {missing}")
-    return {c: library[c] for c in charges}
+        raise UsageError(f"opinions file lacks case ids: {missing[:5]}")
+    return opinions
 
 
 def _trained_with_chains(extra: dict) -> bool:
@@ -192,7 +188,8 @@ def cmd_generate(args) -> int:
     records = load_jsonl(args.corpus)
     charges = sorted({r.charge for r in records})
     use_chains = not args.no_chains and _trained_with_chains(extra)
-    chain_map = _chain_map(args.chains, charges) if use_chains else dict.fromkeys(charges)
+    library = load_chain_library(args.chains) if use_chains else {}
+    chain_map = charge_chains(library, charges, use_chains)
     outputs = decode_cases(model, records, chain_map, max_len=args.max_len, mode=args.mode,
                            seed=args.seed)
     lines = [json.dumps({"case_id": rec.case_id, "opinion": output.text},
@@ -213,10 +210,7 @@ def cmd_generate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     records = load_jsonl(args.corpus)
-    opinions = _read_opinions(args.opinions)
-    missing = [r.case_id for r in records if r.case_id not in opinions]
-    if missing:
-        raise UsageError(f"opinions file lacks case ids: {missing[:5]}")
+    opinions = _read_opinions(args.opinions, records)
     report = evaluate_outputs(records, opinions)
     report["config"] = {"corpus": args.corpus, "opinions": args.opinions}
     _emit(_dump(report), args.out)
@@ -226,10 +220,7 @@ def cmd_evaluate(args) -> int:
 def cmd_screen(args) -> int:
     records = load_jsonl(args.corpus)
     if args.opinions:
-        opinions = _read_opinions(args.opinions)
-        missing = [r.case_id for r in records if r.case_id not in opinions]
-        if missing:
-            raise UsageError(f"opinions file lacks case ids: {missing[:5]}")
+        opinions = _read_opinions(args.opinions, records)
     else:
         opinions = {r.case_id: r.opinion for r in records}
     library = load_chain_library(args.chains)

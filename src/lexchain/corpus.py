@@ -294,15 +294,18 @@ def render_opinion(defendant: str, charge: str, chain, months: int) -> tuple[str
     return opinion, (start, start + len(clause))
 
 
+GENERIC_RATE = 0.5  # share of a grouped charge's facts told in the generic register
+
+
 def _render_fact(rng: np.random.Generator, cs: ChainSet, chain, defendant: str,
-                 distractor_max: int, generic_rate: float) -> str:
+                 distractor_max: int) -> str:
     month = _MONTH_NAMES[int(rng.integers(len(_MONTH_NAMES)))]
     day = int(rng.integers(1, 29))
     city = _CITY_POOL[int(rng.integers(len(_CITY_POOL)))]
     intro = f"On {month} {day}, in {city}, the defendant {defendant}"
     tiers = _GENERIC_BODIES.get(_CHARGE_GROUP.get(cs.charge, ""), ())
     tier = cs.chains.index(chain)
-    if tiers and tier < len(tiers) and generic_rate > 0 and rng.random() < generic_rate:
+    if tiers and tier < len(tiers) and rng.random() < GENERIC_RATE:
         pool = tiers[tier]
         vp, followup = pool[int(rng.integers(len(pool)))]
         parts = [f"{intro} {vp}.", followup]
@@ -326,14 +329,11 @@ def _render_fact(rng: np.random.Generator, cs: ChainSet, chain, defendant: str,
 
 def synthesize_corpus(seed: int, library: dict[str, ChainSet],
                       charges: list[str] | None = None, cases_per_charge: int = 20,
-                      distractor_max: int = 2,
-                      generic_rate: float = 0.5) -> list[CaseRecord]:
+                      distractor_max: int = 2) -> list[CaseRecord]:
     """Deterministic synthetic corpus; each case instantiates one chain.
 
     Per-case randomness comes from an independent substream keyed by
     ``(seed, charge_index, case_index)``, so generation order never matters.
-    ``generic_rate`` is the probability that a case of a grouped charge
-    narrates its fact in the charge-silent generic register.
     """
     if not library:
         raise ContractError("chain library is empty")
@@ -354,8 +354,7 @@ def synthesize_corpus(seed: int, library: dict[str, ChainSet],
             defendant = NAME_POOL[int(rng.integers(len(NAME_POOL)))]
             months = int(rng.integers(chain.conclusion.min_months,
                                       chain.conclusion.max_months + 1))
-            fact = _render_fact(rng, cs, chain, defendant, distractor_max,
-                                generic_rate)
+            fact = _render_fact(rng, cs, chain, defendant, distractor_max)
             opinion, span = render_opinion(defendant, charge, chain, months)
             records.append(CaseRecord(
                 case_id=f"{charge}-{j:04d}",

@@ -170,16 +170,18 @@ def add_positions(x: Tensor, n_chain_rows: int, params: Mapping[str, Tensor],
     return x + pos_rows
 
 
-_MASK_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_CAUSAL = np.zeros((0, 0))
 
 
-def _causal_mask(rows: int, past: int) -> np.ndarray:
-    """(rows, past + rows) additive mask: row i, after ``past`` cached rows, sees keys 0..past+i."""
-    mask = _MASK_CACHE.get((rows, past))
-    if mask is None:
-        mask = np.triu(np.full((rows, past + rows), MASK_VALUE), k=past + 1)
-        _MASK_CACHE[(rows, past)] = mask
-    return mask
+def _causal_mask(rows: int, past: int, first_row: int) -> np.ndarray:
+    """Rows ``first_row:`` of the (rows, past + rows) additive causal mask: row
+    i, after ``past`` cached rows, sees keys 0..past+i.  Every mask is a view
+    of one upper-triangular table, grown to the longest sequence seen."""
+    global _CAUSAL
+    keys = past + rows
+    if _CAUSAL.shape[0] < keys:
+        _CAUSAL = np.triu(np.full((keys, keys), MASK_VALUE), k=1)
+    return _CAUSAL[past + first_row:keys, :keys]
 
 
 def decoder_forward(x: Tensor, params: Mapping[str, Tensor], cfg: ModelConfig,
@@ -201,14 +203,12 @@ def decoder_forward(x: Tensor, params: Mapping[str, Tensor], cfg: ModelConfig,
         raise CapacityError(f"sequence of {past + rows} rows exceeds context {cfg.context}")
     if not 0 <= first_row < rows:
         raise ContractError(f"first_row {first_row} is outside [0, {rows})")
-    # A single row may attend to every earlier row, so it needs no mask.
-    mask = _causal_mask(rows, past) if rows > 1 else None
     for layer in range(cfg.layers):
         block = f"dec.{layer}"
         queries = first_row if layer == cfg.layers - 1 else 0
         h = T.layer_norm(x, params[f"{block}.ln1.g"], params[f"{block}.ln1.b"])
         attn_out, _ = attention(h, params, f"{block}.attn", cfg.dec_heads,
-                                mask[queries:] if queries else mask,
+                                _causal_mask(rows, past, queries),
                                 caches[layer] if caches else None, queries)
         if queries:
             x = T.gather_rows(x, np.arange(queries, rows))
@@ -243,8 +243,7 @@ class JointLoss:
 
 
 def joint_loss(batch: Sequence[tuple], model: Model, alpha: float = 1.0, beta: float = 1.0,
-               dropout_rate: float = 0.0, rng: np.random.Generator | None = None,
-               auto_register: bool = True) -> JointLoss:
+               dropout_rate: float = 0.0, rng: np.random.Generator | None = None) -> JointLoss:
     """Teacher-forced joint objective over a batch of (case, chain set) pairs.
 
     ``chain set`` may be None per pair (the no-chain ablation path).  Each
@@ -271,7 +270,6 @@ def joint_loss(batch: Sequence[tuple], model: Model, alpha: float = 1.0, beta: f
             encoded = encodings.get(id(chain_set))
             if encoded is None:
                 encoded = encode_chain_set(chain_set, table, model.params, model.cfg.enc_heads,
-                                           auto_register=auto_register,
                                            dropout_rate=dropout_rate, rng=rng)
                 encodings[id(chain_set)] = encoded
         combined = combine(encoded, record.fact, table)
@@ -326,17 +324,19 @@ def joint_loss(batch: Sequence[tuple], model: Model, alpha: float = 1.0, beta: f
 class OpinionOutput:
     text: str
     token_ids: list[int]
-    sentencing_span: tuple[int, int] | None
     extracted_months: int | None
 
 
+TOP_K = 10
+
+
 def generate(model: Model, combined: Tensor, n_chain_rows: int, max_len: int = 96,
-             mode: str = "greedy", seed: int = 0, top_k: int = 10) -> OpinionOutput:
+             mode: str = "greedy", seed: int = 0) -> OpinionOutput:
     """Autoregressive decode conditioned on the combined prefix.
 
     The prefix fills a KV cache per layer; each new token then runs alone.
     Greedy mode is deterministic; ``top-k`` samples from the renormalized top
-    ``top_k`` logits using the given seed.  Decoding stops at ``<eos>``, at
+    ``TOP_K`` logits using the given seed.  Decoding stops at ``<eos>``, at
     ``max_len`` tokens, or when the context fills up.
     """
     if mode not in ("greedy", "top-k"):
@@ -356,7 +356,7 @@ def generate(model: Model, combined: Tensor, n_chain_rows: int, max_len: int = 9
         if mode == "greedy":
             next_id = int(np.argmax(logits))
         else:
-            order = np.argsort(-logits, kind="stable")[:top_k]
+            order = np.argsort(-logits, kind="stable")[:TOP_K]
             z = logits[order] - logits[order].max()
             probs = np.exp(z)
             probs /= probs.sum()
@@ -368,12 +368,8 @@ def generate(model: Model, combined: Tensor, n_chain_rows: int, max_len: int = 9
         logits = decoder_forward(row, params, cfg, caches=caches).data[0]
         position += 1
     text = detokenize(model.table.decode(token_ids))
-    return OpinionOutput(
-        text=text,
-        token_ids=token_ids,
-        sentencing_span=mark_sentencing_span(text),
-        extracted_months=extract_sentence_months(text),
-    )
+    return OpinionOutput(text=text, token_ids=token_ids,
+                         extracted_months=extract_sentence_months(text))
 
 
 def decode_case(model: Model, record, chain_set: ChainSet | None, max_len: int = 96,

@@ -396,13 +396,15 @@ def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join ``parts`` along ``axis``; a constant part gets no gradient."""
     arrs = [p.data for p in parts]
     out = Tensor(np.concatenate(arrs, axis=axis))
     sizes = [arr.shape[axis] for arr in arrs]
     splits = np.cumsum(sizes)[:-1]
 
     def bw(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=axis))
+        return tuple(np.ascontiguousarray(piece) if p.requires_grad else None
+                     for p, piece in zip(parts, np.split(g, splits, axis=axis)))
 
     return _record(out, tuple(parts), bw)
 

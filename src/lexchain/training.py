@@ -62,14 +62,16 @@ class TrainConfig:
         return asdict(self)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
@@ -80,8 +82,8 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
         extra = sorted(set(grads) - set(params))
         raise ContractError(f"gradient keys mismatch params: missing={missing}, extra={extra}")
     state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
     for name in sorted(params):
         g = grads[name]
         if name not in state.m:
@@ -89,11 +91,11 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
             state.v[name] = np.zeros_like(params[name].data)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        update = lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        update = lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         params[name].data = params[name].data - update
 
 
@@ -135,6 +137,18 @@ def training_vocab(train_records: list[CaseRecord], library: Mapping[str, ChainS
     for name in NAME_POOL:
         extra.update(name.split())
     return build_vocab(texts, extra)
+
+
+def charge_chains(library: Mapping[str, ChainSet], charges: list[str],
+                  use_chains: bool) -> dict[str, ChainSet | None]:
+    """Each charge's chain set from ``library``, or None for every charge when
+    ``use_chains`` is off (the library is then not read)."""
+    if not use_chains:
+        return dict.fromkeys(charges)
+    missing = [c for c in charges if c not in library]
+    if missing:
+        raise ConfigurationError(f"no chain sets for charges: {missing}")
+    return {c: library[c] for c in charges}
 
 
 @dataclass
@@ -180,14 +194,9 @@ def train(split: CorpusSplit, library: Mapping[str, ChainSet], cfg: TrainConfig,
     if not split.train:
         raise ContractError("training split is empty")
     charges = sorted({rec.charge for rec in split.train + split.test})
-    missing = [c for c in charges if c not in library]
-    if cfg.use_chains and missing:
-        raise ConfigurationError(f"no chain sets for charges: {missing}")
+    chain_map = charge_chains(library, charges, cfg.use_chains)
     vocab = training_vocab(split.train, library)
     model = build_model(vocab, charges, cfg.model_config(), cfg.seed)
-    chain_map: dict[str, ChainSet | None] = {
-        c: (library[c] if cfg.use_chains else None) for c in charges
-    }
     adam = AdamState()
     dropout_rng = np.random.default_rng([cfg.seed, 101])
     golds = [rec.sentence_months for rec in split.test]
@@ -248,8 +257,8 @@ def evaluate_heldout(result: TrainResult, split: CorpusSplit,
                      library: Mapping[str, ChainSet]) -> dict:
     """Decode the held-out split and score it (months errors + text overlap)."""
     cfg = result.config
-    chain_map = {c: (library[c] if cfg.use_chains else None)
-                 for c in {rec.charge for rec in split.test}}
+    chain_map = charge_chains(library, sorted({rec.charge for rec in split.test}),
+                              cfg.use_chains)
     opinions = heldout_predictions(result.model, split.test, chain_map, cfg.max_gen_len)
     return evaluate_outputs(split.test, opinions)
 

@@ -535,13 +535,16 @@ class TestEvaluate:
         assert report["bleu4"] == 1.0
         assert report["config"]["corpus"] == str(workspace["corpus"])
 
-    def test_incomplete_opinions_is_usage_error(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["evaluate", "screen"])
+    def test_incomplete_opinions_is_usage_error(self, workspace, tmp_path, capsys, command):
         opinions = tmp_path / "partial.jsonl"
         opinions.write_text(json.dumps({"case_id": "dangerous_driving-0000",
                                         "opinion": "x"}) + "\n", encoding="utf-8")
-        assert main(["evaluate", "--corpus", str(workspace["corpus"]),
+        assert main([command, "--corpus", str(workspace["corpus"]),
                      "--opinions", str(opinions)]) == 1
-        assert "lacks case ids" in capsys.readouterr().err
+        assert ("usage error: opinions file lacks case ids: ['dangerous_driving-0001', "
+                "'dangerous_driving-0002', 'dangerous_driving-0003', 'dangerous_driving-0004']"
+                in capsys.readouterr().err)
 
     def test_malformed_opinions_line_is_usage_error(self, workspace, tmp_path):
         opinions = tmp_path / "broken.jsonl"

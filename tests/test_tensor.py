@@ -520,6 +520,32 @@ class TestTapeMechanics:
         np.testing.assert_array_equal(leaf_only, with_constants)
         assert pool.grad.shape == (2, 5) and scale.grad.shape == (2, 3)
 
+    def test_concat_computes_no_gradient_for_a_constant_part(self):
+        """``concat`` returns None for a part that needs no gradient (like the
+        zero block ``add_positions`` stacks above the position rows), and the
+        other parts' gradients are bitwise those of a sweep that also
+        differentiates the constant."""
+        rng = np.random.default_rng(14)
+        zeros = Tensor(np.zeros((3, 4)))
+        u, v = Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(5, 4)))
+        weights = Tensor(rng.normal(size=(10, 4)))
+
+        def sweep(*also):
+            with Tape() as tape:
+                tape.watch(u, v, *also)
+                loss = tsum(concat([zeros, u, v], axis=0) * weights)
+                backward(tape, loss)
+            return tape, u.grad.copy(), v.grad.copy()
+
+        tape, u_only, v_only = sweep()
+        pieces = tape.nodes[0].backward_fn(weights.data)
+        assert pieces[0] is None
+        np.testing.assert_array_equal(pieces[1], weights.data[3:5])
+        np.testing.assert_array_equal(pieces[2], weights.data[5:])
+        _, u_all, v_all = sweep(zeros)
+        assert u_only.tobytes() == u_all.tobytes() and v_only.tobytes() == v_all.tobytes()
+        np.testing.assert_array_equal(zeros.grad, weights.data[:3])
+
     def test_watch_is_idempotent(self):
         x = Tensor([1.0])
         tape = Tape()

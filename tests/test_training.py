@@ -21,6 +21,7 @@ from lexchain.training import (
     AdamState,
     TrainConfig,
     adam_step,
+    charge_chains,
     clip_gradients,
     evaluate_heldout,
     gradcheck_full_pipeline,
@@ -259,6 +260,41 @@ class TestTrainLoop:
         result = train(parts, {}, _tiny_cfg(epochs=1, use_chains=False))
         assert len(result.log_rows) == 1
 
+    def test_dropout_runs_repeat_byte_for_byte(self, driving_corpus, library, tmp_path):
+        """Two same-seed trainings with dropout write identical checkpoints and
+        logs, and the dropout draws change the trajectory."""
+        parts = split(driving_corpus, 0.8, seed=0)
+        outputs = []
+        for run, dropout in (("a", 0.1), ("b", 0.1), ("c", 0.0)):
+            ckpt, log = tmp_path / f"{run}.zip", tmp_path / f"{run}.csv"
+            train(parts, library, _tiny_cfg(dropout=dropout, max_gen_len=8),
+                  checkpoint_path=ckpt, log_path=log)
+            outputs.append((ckpt.read_bytes(), log.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1] != outputs[2][1]
+
+    def test_one_causal_mask_table_no_larger_than_the_longest_sequence(
+            self, driving_corpus, library, monkeypatch):
+        """After training and decoding, the decoder holds one mask array, as
+        long as the longest sequence it ran."""
+        monkeypatch.setattr(model_module, "_CAUSAL", np.zeros((0, 0)))
+        lengths = []
+        original = model_module.decoder_forward
+
+        def recording(x, params, cfg, first_row=0, caches=None):
+            lengths.append((caches[0].used if caches else 0) + x.shape[0])
+            return original(x, params, cfg, first_row, caches)
+
+        monkeypatch.setattr(model_module, "decoder_forward", recording)
+        parts = split(driving_corpus, 0.8, seed=0)
+        result = train(parts, library, _tiny_cfg(epochs=1, max_gen_len=120))
+        decode_case(result.model, parts.train[0], library["dangerous_driving"], mode="top-k")
+        held = list(vars(model_module).values())
+        held += [v for d in held if isinstance(d, dict) for v in d.values()]
+        arrays = [v for v in held if isinstance(v, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0] is model_module._CAUSAL
+        assert model_module._CAUSAL.shape == (max(lengths), max(lengths))
+
     def test_empty_training_split_raises(self, library):
         with pytest.raises(ContractError):
             train(CorpusSplit(train=[], test=[], seed=0), library, _tiny_cfg())
@@ -404,6 +440,19 @@ class TestHeldoutEvaluation:
         assert len(encoded) == 48
         assert tokens == [out.token_ids for out in one_by_one]
         assert opinions == {rec.case_id: out.text for rec, out in zip(records, one_by_one)}
+
+    def test_evaluate_heldout_without_a_heldout_charge_chains(self, driving_corpus, library):
+        parts = split(driving_corpus, 0.8, seed=0)
+        result = train(parts, library, _tiny_cfg(epochs=1, max_gen_len=8))
+        with pytest.raises(ConfigurationError, match=r"no chain sets for charges: \['dangerous_driving'\]"):
+            evaluate_heldout(result, parts, {})
+
+    def test_charge_chains(self, library):
+        charges = ["robbery", "theft"]
+        assert charge_chains(library, charges, True) == {c: library[c] for c in charges}
+        assert charge_chains({}, charges, False) == {"robbery": None, "theft": None}
+        with pytest.raises(ConfigurationError, match=r"charges: \['piracy'\]"):
+            charge_chains(library, ["piracy", "theft"], True)
 
     def test_evaluate_heldout_reports_metrics(self, driving_corpus, library):
         parts = split(driving_corpus, 0.8, seed=0)
