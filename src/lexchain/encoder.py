@@ -126,6 +126,12 @@ def attention(h: Tensor, params: Mapping[str, Tensor], prefix: str, heads: int,
                        params[f"{prefix}.Wo"], mask, cache, first_row)
 
 
+def linear(x: Tensor, params: Mapping[str, Tensor], prefix: str, suffix: str = "") -> Tensor:
+    """:func:`tensor.linear` with the weight and bias ``{prefix}.W{suffix}``
+    and ``{prefix}.b{suffix}``."""
+    return T.linear(x, params[f"{prefix}.W{suffix}"], params[f"{prefix}.b{suffix}"])
+
+
 _CHAIN_CONSTANTS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -201,13 +207,13 @@ def crime_transform(r: Tensor, charge: str, params: MutableMapping[str, Tensor],
     (1-g)*u`` elementwise.  Returns ``(t, g)``.
     """
     d = r.shape[1]
-    hidden = T.relu(T.matmul(r, params["enc.G1.W"]) + params["enc.G1.b"])
+    hidden = T.relu(linear(r, params, "enc.G1"))
     if dropout_rate:
         hidden = T.dropout(hidden, dropout_rate, rng)
-    u = T.matmul(hidden, params["enc.G2.W"]) + params["enc.G2.b"]
+    u = linear(hidden, params, "enc.G2")
     ensure_charge(params, charge, d, auto_register)
-    v = T.matmul(u, params[f"enc.charge.{charge}.W"]) + params[f"enc.charge.{charge}.b"]
-    g = T.sigmoid(T.matmul(u, params["enc.gate.W"]) + params["enc.gate.b"])
+    v = linear(u, params, f"enc.charge.{charge}")
+    g = T.sigmoid(linear(u, params, "enc.gate"))
     t = g * v + (1.0 - g) * u
     return t, g
 
@@ -217,7 +223,7 @@ def fuse(r: Tensor, t: Tensor, params: Mapping[str, Tensor]) -> Tensor:
     if r.shape != t.shape:
         raise ShapeError(f"fuse expects matching shapes, got {r.shape} and {t.shape}")
     cat = T.concat([r, t], axis=1)
-    return T.matmul(cat, params["enc.fusion.W"]) + params["enc.fusion.b"]
+    return linear(cat, params, "enc.fusion")
 
 
 def encode_chain_set(cs: ChainSet, table: EmbeddingTable, params: MutableMapping[str, Tensor],

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .chains import ChainSet
-from .encoder import (MASK_VALUE, EmbeddingTable, EncodedChainSet, attention,
+from .encoder import (MASK_VALUE, EmbeddingTable, EncodedChainSet, attention, linear,
                       encode_chain_set)
 from .errors import (CapacityError, ContractError, ShapeError, ValidationError)
 from .metrics import extract_sentence_months, find_sentencing_char_span
@@ -203,21 +203,25 @@ def decoder_forward(x: Tensor, params: Mapping[str, Tensor], cfg: ModelConfig,
         raise CapacityError(f"sequence of {past + rows} rows exceeds context {cfg.context}")
     if not 0 <= first_row < rows:
         raise ContractError(f"first_row {first_row} is outside [0, {rows})")
+    # One contiguous copy of the mask, which numpy adds faster than a strided
+    # view.  The last row sees every key, so a block whose only query is the
+    # last row (a one-row decode step) takes no mask.
+    mask = np.ascontiguousarray(_causal_mask(rows, past, 0)) if rows > 1 else None
     for layer in range(cfg.layers):
         block = f"dec.{layer}"
         queries = first_row if layer == cfg.layers - 1 else 0
         h = T.layer_norm(x, params[f"{block}.ln1.g"], params[f"{block}.ln1.b"])
         attn_out, _ = attention(h, params, f"{block}.attn", cfg.dec_heads,
-                                _causal_mask(rows, past, queries),
+                                None if queries == rows - 1 else mask[queries:],
                                 caches[layer] if caches else None, queries)
         if queries:
             x = T.gather_rows(x, np.arange(queries, rows))
         x = x + attn_out
         h2 = T.layer_norm(x, params[f"{block}.ln2.g"], params[f"{block}.ln2.b"])
-        inner = T.relu(T.matmul(h2, params[f"{block}.ffn.W1"]) + params[f"{block}.ffn.b1"])
-        x = x + T.matmul(inner, params[f"{block}.ffn.W2"]) + params[f"{block}.ffn.b2"]
+        inner = T.relu(linear(h2, params, f"{block}.ffn", "1"))
+        x = x + linear(inner, params, f"{block}.ffn", "2")
     x = T.layer_norm(x, params["dec.lnf.g"], params["dec.lnf.b"])
-    return T.matmul(x, params["dec.out.W"]) + params["dec.out.b"]
+    return linear(x, params, "dec.out")
 
 
 # ---------------------------------------------------------------------------

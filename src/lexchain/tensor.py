@@ -16,6 +16,7 @@ so ``x @ W`` applies a linear map.  Kernels never mutate their input tensors;
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -139,27 +140,71 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn: Callable) -> T
     return out
 
 
+class _RowGrad:
+    """The gradient of ``gather_rows``' output: ``rows[i]`` adds to row
+    ``ids[i]`` of the gathered tensor's gradient.  :func:`backward` collects
+    these and scatters them once per tensor."""
+
+    __slots__ = ("ids", "rows")
+
+    def __init__(self, ids: Array, rows: Array):
+        self.ids = ids
+        self.rows = rows
+
+
+def _scatter(t: Tensor, dense: Array | None, parts: list[_RowGrad]) -> Array:
+    """Every part's rows summed into the rows of ``t`` at their ids, plus
+    ``dense``.  One ``bincount`` over the parts joined in the order they
+    arrived sums each entry's rows in that order (as ``np.add.at`` would, at
+    a fraction of its cost)."""
+    if len(parts) == 1:
+        ids, rows = parts[0].ids, parts[0].rows
+    else:
+        ids = np.concatenate([p.ids for p in parts])
+        rows = np.concatenate([p.rows for p in parts])
+    width = math.prod(t.data.shape[1:])
+    flat = (ids.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    grad = np.bincount(flat, weights=rows.reshape(-1), minlength=t.data.size)
+    grad = grad.reshape(t.data.shape)
+    if dense is not None:
+        grad += dense
+    return grad
+
+
 def backward(tape: Tape, loss: Tensor) -> None:
     """Reverse sweep over ``tape`` from scalar ``loss``.
 
     Sets ``.grad`` on the watched tensors only (zeros for one on no path to
-    the loss); intermediate results and constants get none.
+    the loss); intermediate results and constants get none.  Row gradients
+    from ``gather_rows`` are kept apart and scattered into a tensor's dense
+    gradient once: just before the node that made the tensor runs, or at the
+    end for a watched leaf.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
+    scattered: dict[int, list[_RowGrad]] = {}
     for node in reversed(tape.nodes):
-        g = grads.get(id(node.out))
+        key = id(node.out)
+        g = grads.get(key)
+        if key in scattered:
+            g = _scatter(node.out, g, scattered.pop(key))
         if g is None:
             continue
         for t, gi in zip(node.inputs, node.backward_fn(g)):
             if gi is None or not t.requires_grad:
                 continue
             key = id(t)
+            if type(gi) is _RowGrad:
+                scattered.setdefault(key, []).append(gi)
+                continue
             seen = grads.get(key)
             grads[key] = gi if seen is None else seen + gi
     for t in tape.watched:
-        g = grads.get(id(t))
+        key = id(t)
+        g = grads.get(key)
+        if key in scattered:
+            g = _scatter(t, g, scattered.pop(key))
         t.grad = np.zeros_like(t.data) if g is None else np.ascontiguousarray(g)
 
 
@@ -235,6 +280,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bw)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node, for a (rows, fan_in) ``x``, a (fan_in,
+    fan_out) ``w`` and a (fan_out,) ``b``.  An operand that does not require
+    a gradient gets none."""
+    xd, wd, bd = x.data, w.data, b.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or bd.shape != wd.shape[1:]:
+        raise ShapeError(f"linear shapes do not conform: {xd.shape} x {wd.shape} + {bd.shape}")
+    out = xd @ wd
+    out += bd
+
+    def bw(g):
+        return (g @ wd.T if x.requires_grad else None,
+                xd.T @ g if w.requires_grad else None,
+                np.add.reduce(g, axis=0) if b.requires_grad else None)
+
+    return _record(Tensor(out), (x, w, b), bw)
+
+
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
     mask = a.data > 0.0
@@ -249,6 +312,12 @@ def sigmoid(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g * s * (1.0 - s),))
 
 
+def _outside(ids: Array, bound: int) -> bool:
+    """Whether any of the (non-empty, int64) ``ids`` lies outside [0, bound):
+    read as unsigned, a negative id is larger than any bound."""
+    return bool(np.maximum.reduce(ids.view(np.uint64)) >= bound)
+
+
 def log_likelihood_rows(logits: Tensor, targets) -> Tensor:
     """``log_softmax(logits)[i, targets[i]]`` for every row ``i`` as one node:
     a vector with one entry per row.  The backward is ``g * (onehot -
@@ -260,6 +329,9 @@ def log_likelihood_rows(logits: Tensor, targets) -> Tensor:
     if cols.shape != (a.shape[0],):
         raise ShapeError(f"log_likelihood_rows needs one target per row: {a.shape[0]} rows, "
                          f"targets of shape {cols.shape}")
+    if cols.size and _outside(cols, a.shape[1]):
+        raise ContractError(f"log_likelihood_rows targets must lie in [0, {a.shape[1]}), "
+                            f"got {cols.min()}..{cols.max()}")
     rows = np.arange(a.shape[0])
     z = a - a.max(axis=1, keepdims=True)
     picked = z[rows, cols]
@@ -299,6 +371,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                 _unbroadcast(g * x_hat, gain.data.shape), _unbroadcast(g, bias.data.shape))
 
     return _record(out, (x, gain, bias), bw)
+
+
+# exp(x) is exactly 0.0 for every x below this (exp(-745.14) is the smallest
+# subnormal double).
+_DEAD_SCORE = -746.0
 
 
 class KVCache:
@@ -343,21 +420,31 @@ def attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
         cache.used = end
         k, v = cache.k[:, :end], cache.v[:, :end]
     scale = 1.0 / np.sqrt(q.shape[-1])
-    probs = q @ np.swapaxes(k, -1, -2)
-    probs *= scale
+    scores = q @ np.swapaxes(k, -1, -2)
+    scores *= scale
     if mask is not None:
-        probs += mask
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
+        scores += mask
+    scores -= scores.max(axis=-1, keepdims=True)
+    if mask is None:
+        probs = np.exp(scores, out=scores)
+    else:
+        # A masked score's exp is exactly 0.0 but slow to compute.  Skip it,
+        # then turn the skipped (negative) scores into +0.0; exp is >= 0.
+        probs = np.exp(scores, out=scores, where=scores > _DEAD_SCORE)
+        np.maximum(probs, 0.0, out=probs)
     probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     heads_v = probs @ v
     out = Tensor(np.add.reduce(heads_v @ wod, axis=0))
 
     def bw(g):
+        # d scores = probs * (d probs - rowsum(d probs * probs)) with d probs
+        # = g_heads_v @ v^T; that row sum equals rowsum(g_heads_v * heads_v)
+        # over dh (Dao et al., 2022).  The scale is applied to g_heads_v.
         g_heads_v = g @ np.swapaxes(wod, -1, -2)
-        g_probs = g_heads_v @ np.swapaxes(v, -1, -2)
-        g_scores = probs * (g_probs - np.add.reduce(g_probs * probs, axis=-1, keepdims=True))
-        g_scores *= scale
+        g_scaled = g_heads_v * scale
+        g_scores = g_scaled @ np.swapaxes(v, -1, -2)
+        g_scores -= np.add.reduce(g_scaled * heads_v, axis=-1, keepdims=True)
+        g_scores *= probs
         gq = g_scores @ k
         gk = np.swapaxes(g_scores, -1, -2) @ q
         gv = np.swapaxes(probs, -1, -2) @ g_heads_v
@@ -399,10 +486,9 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Join ``parts`` along ``axis``; a constant part gets no gradient."""
     arrs = [p.data for p in parts]
     out = Tensor(np.concatenate(arrs, axis=axis))
-    sizes = [arr.shape[axis] for arr in arrs]
-    splits = np.cumsum(sizes)[:-1]
 
     def bw(g):
+        splits = np.cumsum([arr.shape[axis] for arr in arrs])[:-1]
         return tuple(np.ascontiguousarray(piece) if p.requires_grad else None
                      for p, piece in zip(parts, np.split(g, splits, axis=axis)))
 
@@ -410,16 +496,16 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
-    """Select rows ``table[ids]``; gradients scatter-add back into the table."""
+    """Select rows ``table[ids]`` for ids in [0, rows).  The backward hands
+    :func:`backward` the ids and the rows' gradient, which it scatter-adds
+    into the table's gradient."""
     idx = np.asarray(ids, dtype=np.int64)
+    rows = table.data.shape[0]
+    if idx.size and _outside(idx, rows):
+        raise ContractError(f"gather_rows ids must lie in [0, {rows}), "
+                            f"got {idx.min()}..{idx.max()}")
     out = Tensor(table.data[idx])
-
-    def bw(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
-        return (gt,)
-
-    return _record(out, (table,), bw)
+    return _record(out, (table,), lambda g: (_RowGrad(idx, g),))
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

@@ -18,6 +18,7 @@ from lexchain.tensor import (
     gather_rows,
     grad_check,
     layer_norm,
+    linear,
     log_likelihood_rows,
     matmul,
     mul,
@@ -66,6 +67,52 @@ def _causal(rows, rng=None):
     """-1e9 above the diagonal, plus small finite offsets when ``rng`` is given."""
     mask = np.triu(np.full((rows, rows), -1e9), k=1)
     return mask if rng is None else mask + rng.normal(size=(rows, rows))
+
+
+def _full_exp_attention(h, wq, wk, wv, wo, mask=None, first_row=0):
+    """Attention computed op for op as before masked scores were skipped, with
+    exp over every score: the output, the probabilities and what the backward
+    needs.  A bitwise oracle of ``attention``'s forward."""
+    q, k, v = h[first_row:] @ wq, h @ wk, h @ wv
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    probs = q @ np.swapaxes(k, -1, -2)
+    probs *= scale
+    if mask is not None:
+        probs += mask
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
+    heads_v = probs @ v
+    return np.add.reduce(heads_v @ wo, axis=0), probs, (q, k, v, heads_v, scale)
+
+
+def _three_pass_backward(g, h, wq, wk, wv, wo, first_row, probs, q, k, v, heads_v, scale):
+    """``attention``'s input gradients with the score gradient formed as
+    ``probs * (g_probs - rowsum(g_probs * probs))`` over the keys."""
+    g_heads_v = g @ np.swapaxes(wo, -1, -2)
+    g_probs = g_heads_v @ np.swapaxes(v, -1, -2)
+    g_scores = probs * (g_probs - np.add.reduce(g_probs * probs, axis=-1, keepdims=True))
+    g_scores *= scale
+    gq = g_scores @ k
+    gk = np.swapaxes(g_scores, -1, -2) @ q
+    gv = np.swapaxes(probs, -1, -2) @ g_heads_v
+    gh = gk @ np.swapaxes(wk, -1, -2)
+    gh[:, first_row:] += gq @ np.swapaxes(wq, -1, -2)
+    gh += gv @ np.swapaxes(wv, -1, -2)
+    return (np.add.reduce(gh, axis=0), h[first_row:].T @ gq, h.T @ gk, h.T @ gv,
+            np.swapaxes(heads_v, -1, -2) @ g)
+
+
+def _near_the_floor(rows, rng):
+    """Offsets around -746, where exp turns from subnormal to exactly 0.0,
+    with a zero diagonal so every row keeps a live score."""
+    mask = rng.uniform(-760.0, -730.0, size=(rows, rows))
+    np.fill_diagonal(mask, 0.0)
+    return mask
+
+
+_MASKS = {"causal": lambda rows, rng: _causal(rows), "offsets": _causal,
+          "near_the_floor": _near_the_floor, "none": lambda rows, rng: None}
 
 
 class TestHandValues:
@@ -422,6 +469,25 @@ class TestErrors:
         with pytest.raises(ShapeError):
             log_likelihood_rows(Tensor(np.ones((2, 3, 4))), [0, 1])
 
+    @pytest.mark.parametrize("ids", [[-1], [0, 6], [7, 2]])
+    def test_gather_rows_ids_outside_the_rows_rejected(self, ids):
+        """A negative id does not wrap to the last rows, and a too-large one
+        is no bare IndexError."""
+        with pytest.raises(ContractError):
+            gather_rows(Tensor(np.zeros((6, 3))), ids)
+
+    @pytest.mark.parametrize("targets", [[0, -1], [5, 0]])
+    def test_log_likelihood_targets_outside_the_classes_rejected(self, targets):
+        with pytest.raises(ContractError):
+            log_likelihood_rows(Tensor(np.zeros((2, 5))), targets)
+
+    def test_linear_shape_mismatch_rejected(self):
+        x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
+        for xx, ww, bb in ((x, w, Tensor(np.ones(3))), (x, Tensor(np.ones((2, 4))), Tensor(np.ones(4))),
+                           (Tensor(np.ones(3)), w, Tensor(np.ones(4)))):
+            with pytest.raises(ShapeError):
+                linear(xx, ww, bb)
+
     def test_log_likelihood_needs_one_target_per_row(self):
         x = Tensor(np.ones((3, 4)))
         for targets in ([0, 1], [0, 1, 2, 3], [[0, 1, 2]], 0):
@@ -655,3 +721,134 @@ class TestAttentionQueryRows:
         np.testing.assert_allclose(probs, full_probs[:, 3:6, :6], rtol=0, atol=1e-12)
         last, _ = attention(Tensor(p["h"].data[6:]), *w, cache=cache)
         np.testing.assert_allclose(last.data, full.data[6:], rtol=0, atol=1e-12)
+
+
+class TestLinear:
+    """``linear(x, w, b)``: one node for ``x @ w + b``."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_matmul_plus_bias_and_finite_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        params = {"x": Tensor(rng.normal(size=(4, 3))), "w": Tensor(rng.normal(size=(3, 5))),
+                  "b": Tensor(rng.normal(size=5))}
+        out = linear(params["x"], params["w"], params["b"])
+        np.testing.assert_array_equal(out.data, params["x"].data @ params["w"].data
+                                      + params["b"].data)
+        weights = Tensor(rng.normal(size=(4, 5)))
+        assert _fd(params, lambda p: tsum(linear(p["x"], p["w"], p["b"]) * weights)) < 1e-6
+
+    @pytest.mark.parametrize("constant", ["x", "w", "b"])
+    def test_a_constant_operand_gets_no_gradient(self, constant):
+        rng = np.random.default_rng(17)
+        ops = {"x": Tensor(rng.normal(size=(4, 3))), "w": Tensor(rng.normal(size=(3, 5))),
+               "b": Tensor(rng.normal(size=5))}
+        g = rng.normal(size=(4, 5))
+        with Tape() as tape:
+            tape.watch(*(t for name, t in ops.items() if name != constant))
+            backward(tape, tsum(linear(ops["x"], ops["w"], ops["b"]) * Tensor(g)))
+        oracle = {"x": g @ ops["w"].data.T, "w": ops["x"].data.T @ g, "b": g.sum(axis=0)}
+        for name, got in zip("xwb", tape.nodes[0].backward_fn(g)):
+            if name == constant:
+                assert got is None and ops[name].grad is None
+            else:
+                np.testing.assert_allclose(got, oracle[name], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(ops[name].grad, oracle[name], rtol=0, atol=1e-12)
+
+
+class TestGatherRowsScatter:
+    """``backward`` scatters every gather of a tensor in one pass; the result
+    equals one dense gradient per gather, summed."""
+
+    @staticmethod
+    def _dense(shape, *gathers):
+        total = np.zeros(shape)
+        for ids, rows in gathers:
+            per_gather = np.zeros(shape)
+            np.add.at(per_gather, ids, rows)
+            total += per_gather
+        return total
+
+    def test_duplicates_within_and_across_gathers_and_a_dense_use(self):
+        rng = np.random.default_rng(40)
+        table = Tensor(rng.normal(size=(6, 3)))
+        ids_a, ids_b = [0, 2, 2, 5], [2, 5, 1, 2]
+        wa, wb, wd = (rng.normal(size=shape) for shape in ((4, 3), (4, 3), (6, 3)))
+        with Tape() as tape:
+            tape.watch(table)
+            loss = (tsum(gather_rows(table, ids_a) * Tensor(wa))
+                    + tsum(table * Tensor(wd)) + tsum(gather_rows(table, ids_b) * Tensor(wb)))
+            backward(tape, loss)
+        oracle = self._dense((6, 3), (ids_a, wa), (ids_b, wb)) + wd
+        np.testing.assert_allclose(table.grad, oracle, rtol=0, atol=1e-12)
+
+    def test_a_gathered_intermediate_reaches_the_leaves_below_it(self):
+        """Rows gathered from a non-leaf, as the decoder's last block selects
+        its query rows, are scattered before the node that made it runs."""
+        rng = np.random.default_rng(41)
+        h, w = Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(4, 3)))
+        tail, repeated = np.arange(2, 5), [1, 1, 4]
+        wt, wr, wx = (rng.normal(size=shape) for shape in ((3, 3), (3, 3), (5, 3)))
+        with Tape() as tape:
+            tape.watch(w)
+            x = h @ w
+            loss = (tsum(gather_rows(x, tail) * Tensor(wt)) + tsum(x * Tensor(wx))
+                    + tsum(gather_rows(x, repeated) * Tensor(wr)))
+            backward(tape, loss)
+        g_x = self._dense((5, 3), (tail, wt), (repeated, wr)) + wx
+        np.testing.assert_allclose(w.grad, h.data.T @ g_x, rtol=0, atol=1e-12)
+        assert x.grad is None
+
+    def test_gradients_of_an_unwatched_table_are_dropped(self):
+        rng = np.random.default_rng(42)
+        table, w = Tensor(rng.normal(size=(4, 2)), requires_grad=True), Tensor(rng.normal(size=2))
+        with Tape() as tape:
+            tape.watch(w)
+            backward(tape, tsum(gather_rows(table, [3, 0, 3]) * w))
+        assert table.grad is None
+        np.testing.assert_allclose(w.grad, table.data[[3, 0, 3]].sum(axis=0), rtol=0, atol=1e-12)
+
+
+class TestMaskedSoftmax:
+    """``attention`` skips the exp of scores that are exactly 0.0 after it, and
+    forms the score gradient from a row sum over ``dh``."""
+
+    @pytest.mark.parametrize("kind", list(_MASKS))
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("first_row", [0, 3])
+    def test_probs_and_output_bitwise_equal_the_full_exp_softmax(self, kind, heads, first_row):
+        rng = np.random.default_rng(60 + heads)
+        p = _attention_params(rng, heads, rows=7)
+        mask = _MASKS[kind](7, rng)
+        mask = None if mask is None else mask[first_row:]
+        w = [p[name].data for name in ("wq", "wk", "wv", "wo")]
+        out, probs = attention(p["h"], p["wq"], p["wk"], p["wv"], p["wo"], mask,
+                               first_row=first_row)
+        full_out, full_probs, _ = _full_exp_attention(p["h"].data, *w, mask, first_row)
+        assert probs.tobytes() == full_probs.tobytes()
+        assert out.data.tobytes() == full_out.tobytes()
+        assert not np.signbit(probs).any()
+        if kind != "none":
+            assert (probs[:, mask < -800.0] == 0.0).all()
+
+    # Near the floor the score gradients are subnormal and carry no relative
+    # precision, so that mask is left to the forward test.
+    @pytest.mark.parametrize("kind", ["causal", "offsets", "none"])
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("first_row", [0, 3])
+    def test_backward_matches_the_three_pass_formula(self, kind, heads, first_row):
+        rng = np.random.default_rng(70 + heads)
+        p = _attention_params(rng, heads, rows=7)
+        mask = _MASKS[kind](7, rng)
+        mask = None if mask is None else mask[first_row:]
+        w = [p[name].data for name in ("wq", "wk", "wv", "wo")]
+        with Tape() as tape:
+            tape.watch(*p.values())
+            out, _ = attention(p["h"], p["wq"], p["wk"], p["wv"], p["wo"], mask,
+                               first_row=first_row)
+        g = rng.normal(size=out.shape)
+        _, probs, saved = _full_exp_attention(p["h"].data, *w, mask, first_row)
+        oracle = _three_pass_backward(g, p["h"].data, *w, first_row, probs, *saved)
+        for name, got, want in zip(("h", "wq", "wk", "wv", "wo"), tape.nodes[0].backward_fn(g),
+                                   oracle):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name

@@ -15,7 +15,8 @@ from lexchain import model as model_module
 from lexchain import training as training_module
 from lexchain.errors import ConfigurationError, ContractError, EvaluationError
 from lexchain.model import ModelConfig, build_model, decode_case, decode_cases, joint_loss
-from lexchain.tensor import Tape, Tensor
+from lexchain import tensor as tensor_module
+from lexchain.tensor import Tape, Tensor, _record, backward
 from lexchain.training import (
     LOG_HEADER,
     AdamState,
@@ -276,13 +277,15 @@ class TestTrainLoop:
     def test_one_causal_mask_table_no_larger_than_the_longest_sequence(
             self, driving_corpus, library, monkeypatch):
         """After training and decoding, the decoder holds one mask array, as
-        long as the longest sequence it ran."""
+        long as the longest sequence it ran with a mask.  A one-row decode
+        step sees every key and takes no mask."""
         monkeypatch.setattr(model_module, "_CAUSAL", np.zeros((0, 0)))
         lengths = []
         original = model_module.decoder_forward
 
         def recording(x, params, cfg, first_row=0, caches=None):
-            lengths.append((caches[0].used if caches else 0) + x.shape[0])
+            if x.shape[0] > 1:
+                lengths.append((caches[0].used if caches else 0) + x.shape[0])
             return original(x, params, cfg, first_row, caches)
 
         monkeypatch.setattr(model_module, "decoder_forward", recording)
@@ -489,11 +492,9 @@ class TestFullPipelineGradcheck:
         assert err < 1e-4
 
 
-def test_joint_loss_records_a_fixed_number_of_tape_nodes(library):
-    """Tooling guard: a fixed 4-case batch at the acceptance config (d=32,
-    4+4 heads, 2 layers, seed 0; four cases of four charges) records this many
-    tape nodes.  A change that records more or fewer updates the count here
-    and reports it."""
+def _acceptance_batch(library):
+    """A model at the acceptance config (d=32, 4+4 heads, 2 layers, seed 0)
+    and a fixed batch of four cases of four charges."""
     parts = split(synthesize_corpus(seed=0, library=library, cases_per_charge=20), 0.8, seed=0)
     cfg = TrainConfig(lr=3e-3, batch_size=4, seed=0, dropout=0.0, heads=4, dec_heads=4, d=32,
                       layers=2, context=256)
@@ -501,7 +502,66 @@ def test_joint_loss_records_a_fixed_number_of_tape_nodes(library):
     model = build_model(training_vocab(parts.train, library), charges, cfg.model_config(), 0)
     batch = [(rec, library[rec.charge]) for rec in parts.train[::len(parts.train) // 4]]
     assert len({rec.charge for rec, _ in batch}) == 4
+    return model, batch
+
+
+def _joint_loss_gradients(model, batch):
+    with Tape() as tape:
+        tape.watch(*model.params.values())
+        backward(tape, joint_loss(batch, model).total)
+    return {name: t.grad for name, t in model.params.items()}
+
+
+def _dense_gather_rows(table, ids):
+    """``gather_rows`` with a dense gradient per gather: a zero table with the
+    rows added at their ids, as each gather formed before ``backward``
+    scattered them once per tensor."""
+    idx = np.asarray(ids, dtype=np.int64)
+
+    def bw(g):
+        dense = np.zeros_like(table.data)
+        np.add.at(dense, idx, g)
+        return (dense,)
+
+    return _record(Tensor(table.data[idx]), (table,), bw)
+
+
+def test_one_scatter_per_table_matches_a_dense_gradient_per_gather(library, monkeypatch):
+    """The embedding table (gathered for chain components, facts and
+    opinions, with repeated ids), the position table and the decoder's
+    last-block row selection all get the gradient of one dense scatter per
+    gather."""
+    model, batch = _acceptance_batch(library)
+    scattered = _joint_loss_gradients(model, batch)
+    gathered = []
+
+    def dense_gather_rows(table, ids):
+        gathered.append(table.name)
+        return _dense_gather_rows(table, ids)
+
+    monkeypatch.setattr(tensor_module, "gather_rows", dense_gather_rows)
+    dense = _joint_loss_gradients(model, batch)
+    assert {"embed", "pos", None} <= set(gathered)  # None: the decoder's rows
+    for name, grad in scattered.items():
+        np.testing.assert_allclose(grad, dense[name], rtol=0, atol=1e-12, err_msg=name)
+    assert np.abs(scattered["embed"]).max() > 0 and np.abs(scattered["pos"]).max() > 0
+
+
+def test_backward_twice_gives_byte_identical_gradients(library):
+    model, batch = _acceptance_batch(library)
+    first = _joint_loss_gradients(model, batch)
+    second = _joint_loss_gradients(model, batch)
+    for name, grad in first.items():
+        assert grad.tobytes() == second[name].tobytes(), name
+
+
+def test_joint_loss_records_a_fixed_number_of_tape_nodes(library):
+    """Tooling guard: a fixed 4-case batch at the acceptance config (d=32,
+    4+4 heads, 2 layers, seed 0; four cases of four charges) records this many
+    tape nodes.  A change that records more or fewer updates the count here
+    and reports it."""
+    model, batch = _acceptance_batch(library)
     with Tape() as tape:
         tape.watch(*model.params.values())
         joint_loss(batch, model)
-    assert len(tape.nodes) == 239
+    assert len(tape.nodes) == 199
