@@ -430,7 +430,7 @@ def _well_formed(expr: ConditionExpr, where: str, problems: list[str]) -> None:
         _well_formed(c, where, problems)
 
 
-def validate_chain_set(cs: ChainSet, stoplist: frozenset[str] = PRONOUN_STOPLIST) -> ValidationReport:
+def validate_chain_set(cs: ChainSet) -> ValidationReport:
     """Report pass/fail per machine-checkable extraction constraint.
 
     Exhaustiveness cannot be machine-checked without provision semantics and is
@@ -447,7 +447,7 @@ def validate_chain_set(cs: ChainSet, stoplist: frozenset[str] = PRONOUN_STOPLIST
         _well_formed(chain.premise, f"chain {i} premise", coherence)
         _well_formed(chain.situation, f"chain {i} situation", coherence)
         for part, text in (("premise", chain.premise_text), ("situation", chain.situation_text)):
-            hits = sorted({t for t in tokenize(text.casefold()) if t in stoplist})
+            hits = sorted({t for t in tokenize(text.casefold()) if t in PRONOUN_STOPLIST})
             if hits:
                 specificity.append(f"chain {i} {part}: pronoun tokens {hits}")
         rng = chain.conclusion

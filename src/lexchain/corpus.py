@@ -98,35 +98,30 @@ def _record_from_dict(obj: dict, line_no: int) -> CaseRecord:
     )
 
 
-def load_jsonl(path: str | Path, lenient: bool = False) -> list[CaseRecord]:
+def load_jsonl(path: str | Path) -> list[CaseRecord]:
     """Read case records, one JSON object per line; each line is decoded as
     UTF-8 on its own.
 
-    Fail-fast by default; ``lenient`` skips bad lines with a warning instead.
-    A ``case_id`` seen on an earlier line makes the later line bad.
+    The first bad line raises, naming its number.  A ``case_id`` seen on an
+    earlier line makes the later line bad.
     """
     records: list[CaseRecord] = []
     first_line: dict[str, int] = {}
     for line_no, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
         try:
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"not UTF-8 text: {exc}", line=line_no) from exc
-            if not line.strip():
-                continue
-            obj = parse_json(line, lambda reason, _: ParseError(f"invalid JSON: {reason}",
-                                                                line=line_no))
-            record = _record_from_dict(obj, line_no)
-            if record.case_id in first_line:
-                raise ParseError(f"duplicate case_id {record.case_id!r}, first at line "
-                                 f"{first_line[record.case_id]}", line=line_no)
-            first_line[record.case_id] = line_no
-            records.append(record)
-        except (ParseError, ValidationError) as exc:
-            if not lenient:
-                raise
-            warnings.warn(f"skipping bad record at {path} line {line_no}: {exc}")
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc}", line=line_no) from exc
+        if not line.strip():
+            continue
+        obj = parse_json(line, lambda reason, _: ParseError(f"invalid JSON: {reason}",
+                                                            line=line_no))
+        record = _record_from_dict(obj, line_no)
+        if record.case_id in first_line:
+            raise ParseError(f"duplicate case_id {record.case_id!r}, first at line "
+                             f"{first_line[record.case_id]}", line=line_no)
+        first_line[record.case_id] = line_no
+        records.append(record)
     return records
 
 
@@ -337,6 +332,11 @@ def synthesize_corpus(seed: int, library: dict[str, ChainSet],
     """
     if not library:
         raise ContractError("chain library is empty")
+    if cases_per_charge < 1:
+        raise ContractError(f"cases_per_charge must be at least 1, got {cases_per_charge}")
+    if not 0 <= distractor_max <= len(_DISTRACTORS):
+        raise ContractError(f"distractor_max must be in [0, {len(_DISTRACTORS)}], "
+                            f"got {distractor_max}")
     charges = sorted(library) if charges is None else list(charges)
     if not charges:
         raise ContractError("no charges requested")

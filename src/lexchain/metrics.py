@@ -13,7 +13,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 
-from .chains import ChainSet, expr_labels, normalize_label
+from .chains import ChainSet
 from .errors import ContractError
 from .tokenizer import tokenize
 
@@ -48,34 +48,16 @@ def extract_sentence_months(opinion_text: str) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-def mae_rmse(preds: list[int | None], golds: list[int],
-             drop_absent: bool = False) -> tuple[float, float]:
-    """Mean absolute and root mean squared error over predicted months.
-
-    Absent predictions are scored as 0 (full penalty) by default; with
-    ``drop_absent`` they are excluded and a diagnostic is emitted.
-    """
+def mae_rmse(preds: list[int | None], golds: list[int]) -> tuple[float, float]:
+    """Mean absolute and root mean squared error over predicted months; an
+    absent prediction is scored as 0 (full penalty)."""
     if len(preds) != len(golds):
         raise ContractError(f"length mismatch: {len(preds)} predictions vs {len(golds)} golds")
     if not golds:
         raise ContractError("mae_rmse needs at least one case")
-    pairs = []
-    dropped = 0
-    for p, g in zip(preds, golds):
-        if p is None:
-            if drop_absent:
-                dropped += 1
-                continue
-            p = 0
-        pairs.append((p, g))
-    if dropped:
-        warnings.warn(f"mae_rmse dropped {dropped} case(s) with absent predictions")
-    if not pairs:
-        raise ContractError("all predictions absent; nothing to score")
-    abs_err = [abs(p - g) for p, g in pairs]
-    sq_err = [(p - g) ** 2 for p, g in pairs]
-    mae = sum(abs_err) / len(pairs)
-    rmse = math.sqrt(sum(sq_err) / len(pairs))
+    errors = [(0 if p is None else p) - g for p, g in zip(preds, golds)]
+    mae = sum(abs(e) for e in errors) / len(errors)
+    rmse = math.sqrt(sum(e ** 2 for e in errors) / len(errors))
     return mae, rmse
 
 
@@ -123,39 +105,37 @@ def rouge(candidate: str, reference: str, variant: str) -> tuple[float, float, f
     return _prf(overlap, sum(cand_counts.values()), sum(ref_counts.values()))
 
 
+BLEU_ORDERS = 4
+
+
 @dataclass
 class BleuResult:
-    precisions: list[float]          # clipped n-gram precisions, orders 1..max_n
+    precisions: list[float]          # clipped n-gram precisions, orders 1..4
     brevity_penalty: float
-    scores: list[float]              # cumulative BLEU-k for k = 1..max_n
+    scores: list[float]              # cumulative BLEU-k for k = 1..4
 
     def bleu(self, k: int) -> float:
         return self.scores[k - 1]
 
 
-def bleu(candidate: str, reference: str, max_n: int = 4, smooth: bool = False) -> BleuResult:
-    """Clipped n-gram precisions with brevity penalty; BLEU-k is the penalty
-    times the geometric mean of orders 1..k.
-
-    Without smoothing a zero precision zeroes every higher cumulative score;
-    ``smooth`` switches to add-one smoothing for short-string experiments.
+def bleu(candidate: str, reference: str) -> BleuResult:
+    """Clipped n-gram precisions of orders 1..4 with brevity penalty; BLEU-k
+    is the penalty times the geometric mean of orders 1..k.  There is no
+    smoothing: a zero precision zeroes every higher cumulative score.
     """
     cand = tokenize(candidate)
     ref = tokenize(reference)
     c, r = len(cand), len(ref)
     precisions = []
-    for n in range(1, max_n + 1):
+    for n in range(1, BLEU_ORDERS + 1):
         cand_counts = _ngrams(cand, n)
         ref_counts = _ngrams(ref, n)
         total = sum(cand_counts.values())
         overlap = sum(min(v, ref_counts[g]) for g, v in cand_counts.items())
-        if smooth:
-            precisions.append((overlap + 1) / (total + 1))
-        else:
-            precisions.append(overlap / total if total else 0.0)
+        precisions.append(overlap / total if total else 0.0)
     bp = 1.0 if c >= r and c > 0 else (math.exp(1.0 - r / c) if c else 0.0)
     scores = []
-    for k in range(1, max_n + 1):
+    for k in range(1, BLEU_ORDERS + 1):
         head = precisions[:k]
         if min(head) <= 0.0:
             scores.append(0.0)
@@ -286,7 +266,7 @@ def evaluate_outputs(cases, opinions: dict[str, str]) -> dict:
             _, _, f1 = rouge(opinion, case.opinion, variant)
             row[f"rouge{variant}"] = f1
             rouge_sums[f"rouge{variant}"] += f1
-        b = bleu(opinion, case.opinion, max_n=4)
+        b = bleu(opinion, case.opinion)
         for k in (1, 2, 4):
             row[f"bleu{k}"] = b.bleu(k)
             bleu_sums[f"bleu{k}"] += b.bleu(k)

@@ -36,8 +36,9 @@ class ModelConfig:
     context: int = 256
 
     def __post_init__(self):
-        if self.d <= 0 or self.layers <= 0 or self.context <= 0:
-            raise ContractError("d, layers and context must be positive")
+        if min(self.d, self.enc_heads, self.dec_heads, self.layers, self.context) <= 0:
+            raise ContractError(f"d, enc_heads, dec_heads, layers and context must be positive, "
+                                f"got {self.to_dict()}")
         if self.d % self.enc_heads != 0:
             raise ShapeError(f"enc_heads {self.enc_heads} must divide d {self.d}")
         if self.d % self.dec_heads != 0:
@@ -173,15 +174,16 @@ def add_positions(x: Tensor, n_chain_rows: int, params: Mapping[str, Tensor],
 _CAUSAL = np.zeros((0, 0))
 
 
-def _causal_mask(rows: int, past: int, first_row: int) -> np.ndarray:
-    """Rows ``first_row:`` of the (rows, past + rows) additive causal mask: row
-    i, after ``past`` cached rows, sees keys 0..past+i.  Every mask is a view
-    of one upper-triangular table, grown to the longest sequence seen."""
+def _causal_mask(rows: int, past: int) -> np.ndarray:
+    """The (rows, past + rows) additive causal mask, as one contiguous array
+    (numpy adds it faster than a strided view): row i, after ``past`` cached
+    rows, sees keys 0..past+i.  It is cut from one upper-triangular table,
+    grown to the longest sequence seen."""
     global _CAUSAL
     keys = past + rows
     if _CAUSAL.shape[0] < keys:
         _CAUSAL = np.triu(np.full((keys, keys), MASK_VALUE), k=1)
-    return _CAUSAL[past + first_row:keys, :keys]
+    return np.ascontiguousarray(_CAUSAL[past:keys, :keys])
 
 
 def decoder_forward(x: Tensor, params: Mapping[str, Tensor], cfg: ModelConfig,
@@ -203,10 +205,9 @@ def decoder_forward(x: Tensor, params: Mapping[str, Tensor], cfg: ModelConfig,
         raise CapacityError(f"sequence of {past + rows} rows exceeds context {cfg.context}")
     if not 0 <= first_row < rows:
         raise ContractError(f"first_row {first_row} is outside [0, {rows})")
-    # One contiguous copy of the mask, which numpy adds faster than a strided
-    # view.  The last row sees every key, so a block whose only query is the
-    # last row (a one-row decode step) takes no mask.
-    mask = np.ascontiguousarray(_causal_mask(rows, past, 0)) if rows > 1 else None
+    # The last row sees every key, so a block whose only query is the last
+    # row (a one-row decode step) takes no mask.
+    mask = _causal_mask(rows, past) if rows > 1 else None
     for layer in range(cfg.layers):
         block = f"dec.{layer}"
         queries = first_row if layer == cfg.layers - 1 else 0

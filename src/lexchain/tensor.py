@@ -260,22 +260,16 @@ def neg(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes.
-
-    Either operand may carry a leading head axis (2-D x 3-D, 3-D x 2-D or
-    3-D x 3-D with equal head counts); the 2-D operand is shared by every head
-    and its gradient is summed over the heads.  An operand that does not
-    require a gradient (an averaging or pooling matrix) gets none.
-    """
+    """Matrix product of two matrices.  An operand that does not require a
+    gradient (an averaging or pooling matrix) gets none."""
     ad, bd = a.data, b.data
-    if (not 2 <= ad.ndim <= 3 or not 2 <= bd.ndim <= 3 or ad.shape[-1] != bd.shape[-2]
-            or (ad.ndim == bd.ndim == 3 and ad.shape[0] != bd.shape[0])):
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
         raise ShapeError(f"matmul shapes do not conform: {ad.shape} x {bd.shape}")
     out = Tensor(ad @ bd)
 
     def bw(g):
-        return (_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape) if a.requires_grad else None,
-                _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape) if b.requires_grad else None)
+        return (g @ bd.T if a.requires_grad else None,
+                ad.T @ g if b.requires_grad else None)
 
     return _record(out, (a, b), bw)
 
@@ -307,7 +301,8 @@ def relu(a: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     # Branch on sign so exp never overflows.
-    s = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(s)
     return _record(out, (a,), lambda g: (g * s * (1.0 - s),))
 
@@ -349,9 +344,13 @@ def log_likelihood_rows(logits: Tensor, targets) -> Tensor:
     return _record(out, (logits,), bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """``(x - mean) / sqrt(var + eps) * gain + bias`` over the last axis, with
-    gain and bias of shape (d,); the backward is analytic (Ba et al., 2016)."""
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """``(x - mean) / sqrt(var + LAYER_NORM_EPS) * gain + bias`` over the last
+    axis, with gain and bias of shape (d,); the backward is analytic (Ba et
+    al., 2016)."""
     xd = x.data
     d = xd.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
@@ -359,7 +358,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                          f"got {gain.data.shape} and {bias.data.shape}")
     # add.reduce / d equals ndarray.mean bit for bit, without its Python wrapper.
     centered = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d
-    std = np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) / d + eps)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
+    std = np.sqrt(var + LAYER_NORM_EPS)
     x_hat = centered / std
     out = Tensor(x_hat * gain.data + bias.data)
 
@@ -457,29 +457,16 @@ def attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     return _record(out, (h, wq, wk, wv, wo), bw), probs
 
 
-def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-
-    def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
-
-    return _record(out, (a,), bw)
+def tsum(a: Tensor) -> Tensor:
+    """The sum of every entry, as a one-entry tensor."""
+    out = Tensor(a.data.sum())
+    return _record(out, (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
 
 
-def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    count = a.data.size if axis is None else a.data.shape[axis]
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
-
-    def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy() / count,)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy() / count,)
-
-    return _record(out, (a,), bw)
+def tmean(a: Tensor) -> Tensor:
+    """The mean of every entry, as a one-entry tensor."""
+    out = Tensor(a.data.mean())
+    return _record(out, (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy() / a.data.size,))
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -265,6 +265,18 @@ class TestSynthCorpus:
         assert main(["synth-corpus", "--chains", str(tmp_path / "void"),
                      "--out", str(tmp_path / "x.jsonl")]) in (2, 3)
 
+    @pytest.mark.parametrize("flag, value", [("--distractors", "9"), ("--distractors", "-1"),
+                                             ("--cases-per-charge", "-2"),
+                                             ("--cases-per-charge", "0")])
+    def test_count_outside_its_range_exits_two(self, workspace, tmp_path, capsys, flag, value):
+        """There are six distractor sentences and at least one case per charge
+        is drawn; any other count is refused before a case is drawn."""
+        out = tmp_path / "x.jsonl"
+        assert main(["synth-corpus", "--chains", str(workspace["chains"]), flag, value,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestTrain:
     def test_reports_resolved_config_and_losses(self, workspace, capsys):
@@ -292,6 +304,14 @@ class TestTrain:
     def test_invalid_hyperparameters_exit_two(self, workspace):
         ckpt = workspace["root"] / "never.ckpt"
         assert main(_train_args(workspace, ckpt, epochs=0)) == 2
+
+    @pytest.mark.parametrize("heads", [{"heads": 0}, {"heads": -4, "d": 8}, {"dec_heads": 0}])
+    def test_nonpositive_head_count_exits_two(self, workspace, capsys, heads):
+        ckpt = workspace["root"] / "never3.ckpt"
+        assert main(_train_args(workspace, ckpt, **heads)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be positive" in err
+        assert not ckpt.exists()
 
     def test_missing_corpus_is_io_error(self, workspace):
         args = _train_args(workspace, workspace["root"] / "never2.ckpt")
@@ -597,6 +617,13 @@ class TestGradcheck:
         assert payload["ok"] is True
         assert payload["max_relative_error"] < 1e-4
         assert payload["parameters_checked"] > 1000
+
+    @pytest.mark.parametrize("heads", ["0", "-2"])
+    def test_nonpositive_heads_exit_two(self, capsys, heads):
+        assert main(["gradcheck", "--d", "8", "--heads", heads, "--layers", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "must be positive" in captured.err
+        assert captured.out == ""
 
     def test_unreachable_tolerance_exits_two(self, capsys):
         assert main(["gradcheck", "--d", "8", "--heads", "2", "--layers", "1",

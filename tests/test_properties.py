@@ -8,7 +8,6 @@ database, so every run draws the same examples.
 import json
 import re
 import tempfile
-import warnings
 from pathlib import Path
 
 import pytest
@@ -118,13 +117,10 @@ def test_load_jsonl_raises_only_package_errors(lines):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cases.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        for lenient in (False, True):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                try:
-                    load_jsonl(path, lenient=lenient)
-                except LexchainError:
-                    pass
+        try:
+            load_jsonl(path)
+        except LexchainError:
+            pass
 
 
 @pytest.mark.parametrize("reader", ["chain file", "corpus"])

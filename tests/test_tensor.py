@@ -178,16 +178,20 @@ class TestHandValues:
         np.testing.assert_allclose(left, right, atol=1e-9)
 
     def test_head_axis_matmul_matches_per_head_products(self):
+        """The per-head products of a leading head axis are no longer a matmul
+        form: a 3-D weight or a 3-D left operand is a ShapeError, and the
+        per-head product is spelled as 2-D products."""
         rng = np.random.default_rng(2)
         x = rng.normal(size=(3, 4))
         w = rng.normal(size=(2, 4, 5))
         u = rng.normal(size=(2, 5, 3))
-        shared = matmul(Tensor(x), Tensor(w)).data
-        paired = matmul(Tensor(shared), Tensor(u)).data
-        assert shared.shape == (2, 3, 5) and paired.shape == (2, 3, 3)
+        with pytest.raises(ShapeError, match="do not conform"):
+            matmul(Tensor(x), Tensor(w))
+        shared = np.stack([x @ w[i] for i in range(2)])
+        with pytest.raises(ShapeError, match="do not conform"):
+            matmul(Tensor(shared), Tensor(u))
         for i in range(2):
-            np.testing.assert_array_equal(shared[i], x @ w[i])
-            np.testing.assert_array_equal(paired[i], shared[i] @ u[i])
+            np.testing.assert_array_equal(matmul(Tensor(x), Tensor(w[i])).data, shared[i])
 
     def test_transpose_and_softmax_act_on_last_two_axes(self):
         """Attention forms q @ k.T per head and normalizes over the keys."""
@@ -234,14 +238,15 @@ class TestKernelGradients:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matmul_transpose_reshape(self, seed):
-        """Matmul over a leading head axis: 2-D x 3-D, 3-D x 3-D and
-        3-D x 2-D."""
+        """2-D products chained as attention chains them: ``q`` and ``k``
+        share the input ``a``, and ``q`` feeds two products and a multiply, so
+        both sides of the matmul backward are checked."""
         rng = np.random.default_rng(seed)
         params = {
             "a": Tensor(rng.normal(size=(3, 5))),
-            "w": Tensor(rng.normal(size=(2, 5, 4))),
-            "u": Tensor(rng.normal(size=(2, 5, 4))),
-            "t": Tensor(rng.normal(size=(2, 4, 3))),
+            "w": Tensor(rng.normal(size=(5, 4))),
+            "u": Tensor(rng.normal(size=(5, 4))),
+            "t": Tensor(rng.normal(size=(4, 3))),
             "b": Tensor(rng.normal(size=(4, 2))),
         }
 
@@ -284,13 +289,14 @@ class TestKernelGradients:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_reductions_axes(self, seed):
+        """``tsum`` and ``tmean`` reduce over every axis to one entry."""
         rng = np.random.default_rng(seed)
-        params = {"x": Tensor(rng.normal(size=(4, 5)))}
+        params = {"x": Tensor(rng.normal(size=(4, 5))), "y": Tensor(rng.normal(size=(2, 3, 2)))}
 
         def objective(p):
-            a = tsum(p["x"], axis=0)
-            b = tmean(p["x"], axis=1, keepdims=True)
-            return tsum(a * a) + tsum(b * b) + tmean(p["x"])
+            a = tsum(p["x"] * p["x"])
+            b = tmean(p["y"])
+            return a * b + tmean(p["x"]) + tsum(p["y"] * b)
 
         assert _fd(params, objective) < 1e-6
 
@@ -440,10 +446,13 @@ class TestErrors:
             matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
 
     def test_matmul_rejects_unequal_head_counts(self):
-        with pytest.raises(ShapeError):
-            matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 2))))
-        with pytest.raises(ShapeError):
-            matmul(Tensor(np.ones((2, 2, 3, 4))), Tensor(np.ones((4, 2))))
+        """Only two matrices multiply: an operand with a leading head axis is a
+        ShapeError, whether the head counts differ or agree."""
+        for shapes in (((2, 3, 4), (3, 4, 2)), ((2, 2, 3, 4), (4, 2)), ((2, 3, 4), (4, 2)),
+                       ((2, 3, 4), (2, 4, 3))):
+            a, b = (Tensor(np.ones(shape)) for shape in shapes)
+            with pytest.raises(ShapeError, match="do not conform"):
+                matmul(a, b)
 
     def test_backward_requires_scalar(self):
         x = Tensor([[1.0, 2.0]])
