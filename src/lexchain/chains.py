@@ -206,6 +206,11 @@ class SentencingRange:
     max_months: int
     label: str = ""
 
+    def __post_init__(self):
+        if self.min_months < 0 or self.max_months < self.min_months:
+            raise ValidationError(f"sentencing range [{self.min_months}, {self.max_months}] "
+                                  f"is inverted or negative")
+
     def contains(self, months: int) -> bool:
         return self.min_months <= months <= self.max_months
 
@@ -417,51 +422,31 @@ class ValidationReport:
         }
 
 
-def _well_formed(expr: ConditionExpr, where: str, problems: list[str]) -> None:
-    if isinstance(expr, Predicate):
-        if not expr.label.strip():
-            problems.append(f"{where}: empty predicate label")
-        return
-    if expr.op not in ("and", "or"):
-        problems.append(f"{where}: bad operator {expr.op!r}")
-    if len(expr.children) < 2:
-        problems.append(f"{where}: {expr.op.upper()} node with fewer than 2 children")
-    for c in expr.children:
-        _well_formed(c, where, problems)
-
-
 def validate_chain_set(cs: ChainSet) -> ValidationReport:
     """Report pass/fail per machine-checkable extraction constraint.
 
     Exhaustiveness cannot be machine-checked without provision semantics and is
-    reported as such.
+    reported as such.  Logical coherence and sentencing specificity pass by
+    construction: :class:`Predicate` and :class:`Node` reject malformed
+    condition trees, and :class:`SentencingRange` an inverted or negative range.
     """
     separation: list[str] = []
-    coherence: list[str] = []
     specificity: list[str] = []
-    sentencing: list[str] = []
     for i, chain in enumerate(cs.chains):
         shared = set(expr_labels(chain.premise)) & set(expr_labels(chain.situation))
         if shared:
             separation.append(f"chain {i}: premise and situation share labels {sorted(shared)}")
-        _well_formed(chain.premise, f"chain {i} premise", coherence)
-        _well_formed(chain.situation, f"chain {i} situation", coherence)
         for part, text in (("premise", chain.premise_text), ("situation", chain.situation_text)):
             hits = sorted({t for t in tokenize(text.casefold()) if t in PRONOUN_STOPLIST})
             if hits:
                 specificity.append(f"chain {i} {part}: pronoun tokens {hits}")
-        rng = chain.conclusion
-        if rng.min_months < 0 or rng.max_months < rng.min_months:
-            sentencing.append(
-                f"chain {i}: invalid range [{rng.min_months}, {rng.max_months}]"
-            )
     results = [
         ConstraintResult("Exhaustiveness", "not machine-checkable",
                          ["requires expert review of the source provision"]),
         ConstraintResult("Semantic separation", "fail" if separation else "pass", separation),
-        ConstraintResult("Logical coherence", "fail" if coherence else "pass", coherence),
+        ConstraintResult("Logical coherence", "pass"),
         ConstraintResult("Referential specificity", "fail" if specificity else "pass", specificity),
-        ConstraintResult("Sentencing specificity", "fail" if sentencing else "pass", sentencing),
+        ConstraintResult("Sentencing specificity", "pass"),
     ]
     return ValidationReport(charge=cs.charge, results=results)
 
@@ -554,9 +539,6 @@ def parse_extraction_response(text: str, charge: str) -> tuple[ChainSet, list[st
             lo, hi = int(m.group(1)), int(m.group(2))
         except ValueError:  # past the interpreter's digit limit for int()
             diagnostics.append(f"chain block {idx}: range figure too long")
-            continue
-        if hi < lo:
-            diagnostics.append(f"chain block {idx}: inverted range {lo}-{hi}")
             continue
         label_m = _LABEL_RE.search(fields["CONCLUSION"])
         try:

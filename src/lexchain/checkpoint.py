@@ -12,12 +12,13 @@ import io
 import json
 import os
 import zipfile
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .encoder import EmbeddingTable
+from .encoder import SPECIAL_TOKENS, EmbeddingTable
 from .errors import ValidationError, parse_json
 from .model import Model, ModelConfig, param_shapes
 from .tensor import Tensor
@@ -103,7 +104,7 @@ def load_checkpoint(path: str | Path) -> tuple[Model, dict]:
 
 
 def _read_manifest(zf: zipfile.ZipFile, path: str | Path) -> dict:
-    """The archive's manifest, with its keys and config keys checked."""
+    """The archive's manifest, with its keys, vocabulary and config keys checked."""
     try:
         text = zf.read("manifest.json").decode("utf-8")
     except KeyError as exc:
@@ -122,6 +123,13 @@ def _read_manifest(zf: zipfile.ZipFile, path: str | Path) -> dict:
         raise ValidationError(f"{path} manifest vocab, charges and params must be lists")
     if not all(isinstance(item, str) for key in ("vocab", "charges") for item in manifest[key]):
         raise ValidationError(f"{path} manifest vocab and charges must hold strings")
+    vocab = manifest["vocab"]
+    if tuple(vocab[:len(SPECIAL_TOKENS)]) != SPECIAL_TOKENS:
+        raise ValidationError(f"{path} manifest vocab must start with {list(SPECIAL_TOKENS)}, "
+                              f"got {vocab[:len(SPECIAL_TOKENS)]}")
+    repeated = sorted(tok for tok, count in Counter(vocab).items() if count > 1)
+    if repeated:
+        raise ValidationError(f"{path} manifest vocab holds tokens more than once: {repeated}")
     config = manifest["config"]
     if not isinstance(config, dict):
         raise ValidationError(f"{path} manifest config is not an object")

@@ -391,6 +391,8 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "func", None) is None:
             parser.print_help()
             return 1
+        if getattr(args, "seed", 0) < 0:  # also covers a seed from CONFIG_ENV
+            raise UsageError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -63,10 +63,6 @@ class EmbeddingTable:
         for tok, i in vocab.items():
             self.id_to_token[i] = tok
 
-    @property
-    def d(self) -> int:
-        return self.matrix.shape[1]
-
     def encode(self, text: str) -> list[int]:
         unk = self.vocab.get(UNK_TOKEN, UNK_ID)
         return [self.vocab.get(tok, unk) for tok in tokenize(text)]
@@ -98,10 +94,9 @@ def embed_components(texts: Sequence[str], table: EmbeddingTable) -> Tensor:
 
 @dataclass
 class EncodedChainSet:
-    """The n x d chain matrix plus head-averaged 3x3 attention diagnostics."""
+    """The n x d chain matrix, one row per chain."""
 
     e_chain: Tensor
-    attention_weights: list[np.ndarray]
 
     @property
     def n(self) -> int:
@@ -116,8 +111,6 @@ def attention(h: Tensor, params: Mapping[str, Tensor], prefix: str, heads: int,
     Returns the summed head outputs of the query rows ``first_row:``
     (queries x d) and the (heads, queries, keys) attention probabilities."""
     d = h.shape[1]
-    if d % heads != 0:
-        raise ShapeError(f"head count {heads} must divide model dimension {d}")
     dh = d // heads
     wq = params[f"{prefix}.Wq"]
     if wq.shape != (heads, d, dh):
@@ -151,10 +144,10 @@ def _chain_constants(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _encode_pooled(chains: Sequence[LegalChain], table: EmbeddingTable,
                    params: Mapping[str, Tensor], heads: int, dropout_rate: float,
-                   rng: np.random.Generator | None) -> tuple[Tensor, list[np.ndarray]]:
+                   rng: np.random.Generator | None) -> tuple[Tensor, np.ndarray]:
     """Stack every chain's premise, situation and conclusion rows, attend within
-    each chain, add the residual and mean-pool: n x d, plus one head-averaged
-    3x3 attention matrix per chain (the diagonal blocks)."""
+    each chain, add the residual and mean-pool: n x d, plus the (heads, 3n, 3n)
+    attention probabilities."""
     n = len(chains)
     texts = [text for chain in chains
              for text in (chain.premise_text, chain.situation_text, chain.conclusion_text())]
@@ -163,9 +156,7 @@ def _encode_pooled(chains: Sequence[LegalChain], table: EmbeddingTable,
     attn_out, probs = attention(h, params, "enc.attn", heads, mask)
     if dropout_rate:
         attn_out = T.dropout(attn_out, dropout_rate, rng)
-    r = T.matmul(Tensor(pool), h + attn_out)
-    mean_probs = probs.mean(axis=0)
-    return r, [mean_probs[i:i + 3, i:i + 3] for i in range(0, 3 * n, 3)]
+    return T.matmul(Tensor(pool), h + attn_out), probs
 
 
 def encode_chain(chain: LegalChain, table: EmbeddingTable, params: Mapping[str, Tensor],
@@ -174,10 +165,10 @@ def encode_chain(chain: LegalChain, table: EmbeddingTable, params: Mapping[str, 
     """Component stack -> self-attention with residual -> mean pool.
 
     Returns the pooled 1 x d representation ``r`` and the head-averaged 3x3
-    attention weight matrix (diagnostic only; consumed by nothing downstream).
+    attention weight matrix, a diagnostic that only this function computes.
     """
-    r, weights = _encode_pooled([chain], table, params, heads, dropout_rate, rng)
-    return r, weights[0]
+    r, probs = _encode_pooled([chain], table, params, heads, dropout_rate, rng)
+    return r, probs.mean(axis=0)
 
 
 def ensure_charge(params: MutableMapping[str, Tensor], charge: str, d: int,
@@ -233,6 +224,6 @@ def encode_chain_set(cs: ChainSet, table: EmbeddingTable, params: MutableMapping
     output rows."""
     if not cs.chains:
         raise ValidationError(f"chain set for {cs.charge!r} is empty; nothing to encode")
-    r, weights = _encode_pooled(cs.chains, table, params, heads, dropout_rate, rng)
+    r, _ = _encode_pooled(cs.chains, table, params, heads, dropout_rate, rng)
     t, _ = crime_transform(r, cs.charge, params, auto_register, dropout_rate, rng)
-    return EncodedChainSet(e_chain=fuse(r, t, params), attention_weights=weights)
+    return EncodedChainSet(e_chain=fuse(r, t, params))

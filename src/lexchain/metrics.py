@@ -13,7 +13,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 
-from .chains import ChainSet
+from .chains import ChainSet, normalize_label
 from .errors import ContractError
 from .tokenizer import tokenize
 
@@ -149,10 +149,6 @@ def bleu(candidate: str, reference: str) -> BleuResult:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_text(text: str) -> str:
-    return " ".join(text.split()).casefold()
-
-
 @dataclass
 class CaseScreening:
     case_id: str
@@ -184,11 +180,11 @@ def screen_opinion(opinion: str, case, chains: ChainSet) -> CaseScreening:
     """
     if not chains.chains:
         raise ContractError(f"no chains available for charge {chains.charge!r}")
-    body = _normalize_text(opinion)
-    defendant_ok = _normalize_text(case.defendant) in body if case.defendant else False
+    body = normalize_label(opinion)
+    defendant_ok = normalize_label(case.defendant) in body if case.defendant else False
 
     def realized(label: str) -> bool:
-        return any(_normalize_text(p) in body for p in chains.phrases_for(label))
+        return any(normalize_label(p) in body for p in chains.phrases_for(label))
 
     overlaps = []
     for chain in chains.chains:

@@ -22,7 +22,7 @@ from .chains import ChainSet
 from .encoder import (MASK_VALUE, EmbeddingTable, EncodedChainSet, attention, linear,
                       encode_chain_set)
 from .errors import (CapacityError, ContractError, ShapeError, ValidationError)
-from .metrics import extract_sentence_months, find_sentencing_char_span
+from .metrics import find_sentencing_char_span
 from .tensor import Tensor
 from .tokenizer import detokenize, span_to_token_interval
 
@@ -281,8 +281,6 @@ def joint_loss(batch: Sequence[tuple], model: Model, alpha: float = 1.0, beta: f
         n = encoded.n if encoded is not None else 0
         prefix_len = combined.shape[0]
         target = table.encode(record.opinion) + [eos]
-        if not target:
-            raise ContractError(f"case {record.case_id} has an empty opinion")
         x = combined
         if len(target) > 1:
             x = T.concat([combined, T.gather_rows(table.matrix, target[:-1])], axis=0)
@@ -329,7 +327,6 @@ def joint_loss(batch: Sequence[tuple], model: Model, alpha: float = 1.0, beta: f
 class OpinionOutput:
     text: str
     token_ids: list[int]
-    extracted_months: int | None
 
 
 TOP_K = 10
@@ -346,6 +343,8 @@ def generate(model: Model, combined: Tensor, n_chain_rows: int, max_len: int = 9
     """
     if mode not in ("greedy", "top-k"):
         raise ContractError(f"unknown decode mode {mode!r}")
+    if max_len < 1:
+        raise ContractError(f"max_len must be at least 1, got {max_len}")
     cfg = model.cfg
     params = model.params
     eos = model.table.vocab["<eos>"]
@@ -372,9 +371,7 @@ def generate(model: Model, combined: Tensor, n_chain_rows: int, max_len: int = 9
         row = Tensor((params["embed"].data[next_id] + params["pos"].data[position])[None, :])
         logits = decoder_forward(row, params, cfg, caches=caches).data[0]
         position += 1
-    text = detokenize(model.table.decode(token_ids))
-    return OpinionOutput(text=text, token_ids=token_ids,
-                         extracted_months=extract_sentence_months(text))
+    return OpinionOutput(text=detokenize(model.table.decode(token_ids)), token_ids=token_ids)
 
 
 def decode_case(model: Model, record, chain_set: ChainSet | None, max_len: int = 96,

@@ -521,33 +521,35 @@ def grad_check(
     ``fn`` must be a deterministic map from the (shared) parameter mapping to a
     scalar tensor.  Error per scalar parameter is
     ``|analytic - (f(p+eps) - f(p-eps)) / 2 eps| / max(1, |analytic|)``.
+    ``eps`` must be positive and finite.
     """
+    if not (math.isfinite(eps) and eps > 0):
+        raise ContractError(f"grad_check eps must be positive and finite, got {eps}")
 
-    def evaluate() -> float:
-        value = fn(params)
-        v = value.data.reshape(-1)
+    def value_of(objective: Tensor) -> float:
+        v = objective.data.reshape(-1)
         if v.size != 1 or not np.isfinite(v[0]):
-            raise EvaluationError(f"grad_check objective returned a bad value: shape {value.data.shape}")
+            raise EvaluationError(f"grad_check objective is not a finite scalar: "
+                                  f"shape {objective.data.shape}")
         return float(v[0])
 
     with Tape() as tape:
         for t in params.values():
             tape.watch(t)
         loss = fn(params)
-        if loss.data.size != 1 or not np.isfinite(loss.data.reshape(-1)[0]):
-            raise EvaluationError("grad_check objective is not a finite scalar")
+        value_of(loss)
         backward(tape, loss)
 
     worst = 0.0
     for t in params.values():
-        analytic = t.grad.reshape(-1) if t.grad is not None else np.zeros(t.data.size)
+        analytic = t.grad.reshape(-1)
         flat = t.data.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            f_plus = evaluate()
+            f_plus = value_of(fn(params))
             flat[i] = orig - eps
-            f_minus = evaluate()
+            f_minus = value_of(fn(params))
             flat[i] = orig
             fd = (f_plus - f_minus) / (2.0 * eps)
             err = abs(analytic[i] - fd) / max(1.0, abs(analytic[i]))

@@ -53,6 +53,8 @@ class TrainConfig:
             raise ContractError("epochs and batch_size must be positive")
         if self.eval_every <= 0:
             raise ContractError(f"eval_every must be positive, got {self.eval_every}")
+        if self.max_gen_len < 1:
+            raise ContractError(f"max_gen_len must be at least 1, got {self.max_gen_len}")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(d=self.d, enc_heads=self.heads, dec_heads=self.dec_heads,

@@ -51,7 +51,7 @@ from lexchain.cli import default_chains_dir
 from lexchain.cli import main as cli_main
 from lexchain.checkpoint import load_checkpoint
 from lexchain.corpus import CaseRecord, CorpusSplit, synthesize_corpus, split
-from lexchain.encoder import build_vocab, crime_transform, encode_chain_set
+from lexchain.encoder import build_vocab, crime_transform, encode_chain, encode_chain_set
 from lexchain.metrics import bleu, combined_score, mae_rmse, rouge, screen_opinion
 from lexchain.model import ModelConfig, build_model, combine, decode_case
 from lexchain.tensor import Tensor
@@ -113,7 +113,8 @@ def test_02_sequence_shape_and_attention_rows():
         fact = " ".join(rng.choice(pool, size=int(rng.integers(1, 41))))
         x = combine(encoded, fact, model.table)
         assert x.shape == (n_chains + len(tokenize(fact)), cfg.d)
-        for w in encoded.attention_weights:
+        for chain in chains:
+            _, w = encode_chain(chain, model.table, model.params, cfg.enc_heads)
             worst_row_sum_err = max(worst_row_sum_err,
                                     float(np.abs(w.sum(axis=1) - 1.0).max()))
         fixtures += 1

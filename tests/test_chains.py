@@ -10,7 +10,6 @@ from lexchain.chains import (
     CONSTRAINT_NAMES,
     MAX_NESTING,
     ChainSet,
-    LegalChain,
     Node,
     Predicate,
     SentencingRange,
@@ -315,16 +314,12 @@ class TestValidation:
         assert "he" in byname["Referential specificity"].details[0]
 
     def test_inverted_range_fails_sentencing_specificity(self):
-        chain = LegalChain(
-            premise_text="used force",
-            premise=Predicate("used force"),
-            situation_text="harm done",
-            situation=Predicate("harm done"),
-            conclusion=SentencingRange(10, 5),
-        )
-        report = validate_chain_set(ChainSet(charge="x", chains=[chain]))
-        byname = {r.constraint: r for r in report.results}
-        assert byname["Sentencing specificity"].status == "fail"
+        """An inverted or negative range cannot be built, so no chain set
+        reaches the report with one."""
+        with pytest.raises(ValidationError, match="inverted or negative"):
+            SentencingRange(10, 5)
+        with pytest.raises(ValidationError, match="inverted or negative"):
+            SentencingRange(-1, 5)
 
 
 class TestExtractionPrompt:
@@ -406,6 +401,7 @@ SOURCE: s
         cs, diagnostics = parse_extraction_response(text, "x")
         assert len(cs.chains) == 1
         assert len(diagnostics) == 2
+        assert diagnostics[1].startswith("chain block 1: ") and "inverted" in diagnostics[1]
 
     def test_premise_situation_overlap_rejected_with_diagnostic(self):
         text = """===CHAIN===

@@ -107,6 +107,18 @@ class TestUsageAndHelp:
         assert main(["synth-corpus"]) == 1
         assert "--out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["synth-corpus", "train", "generate", "gradcheck"])
+    def test_negative_seed_is_usage_error(self, workspace, tmp_path, capsys, command):
+        args = {"synth-corpus": ["--out", str(tmp_path / "c.jsonl")],
+                "train": _train_args(workspace, tmp_path / "m.ckpt")[1:],
+                "generate": ["--checkpoint", str(workspace["checkpoint"]),
+                             "--corpus", str(workspace["corpus"])],
+                "gradcheck": ["--d", "8", "--heads", "2", "--layers", "1"]}[command]
+        assert main([command, *args, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ") and "--seed" in captured.err
+        assert captured.out == ""
+
     def test_console_script_installed(self):
         """The declared `lexchain` console script, run as its own process the
         way the installed wrapper runs it, exits 0 on --help and prints it.
@@ -305,6 +317,13 @@ class TestTrain:
         ckpt = workspace["root"] / "never.ckpt"
         assert main(_train_args(workspace, ckpt, epochs=0)) == 2
 
+    def test_max_len_below_one_exits_two(self, workspace, capsys):
+        ckpt = workspace["root"] / "never4.ckpt"
+        assert main(_train_args(workspace, ckpt) + ["--max-len", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "max_gen_len must be at least 1" in err
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize("heads", [{"heads": 0}, {"heads": -4, "d": 8}, {"dec_heads": 0}])
     def test_nonpositive_head_count_exits_two(self, workspace, capsys, heads):
         ckpt = workspace["root"] / "never3.ckpt"
@@ -335,6 +354,17 @@ class TestGenerate:
         assert summary["cases"] == 5
         assert summary["mode"] == "greedy"
         assert summary["use_chains"] is True
+
+    @pytest.mark.parametrize("max_len", ["0", "-3"])
+    def test_max_len_below_one_exits_two(self, workspace, tmp_path, capsys, max_len):
+        out = tmp_path / "opinions.jsonl"
+        assert main(["generate", "--checkpoint", str(workspace["checkpoint"]),
+                     "--corpus", str(workspace["corpus"]),
+                     "--chains", str(workspace["chains"]),
+                     "--max-len", max_len, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "max_len must be at least 1" in err
+        assert not out.exists()
 
     def test_stdout_when_no_out_flag(self, workspace, capsys):
         assert main(["generate", "--checkpoint", str(workspace["checkpoint"]),
@@ -526,6 +556,24 @@ class TestCorruptCheckpoint:
         assert code == 2
         assert "unreadable manifest.json: nested too deeply" in err
 
+    def test_vocab_without_eos(self, workspace, tmp_path, capsys):
+        def rename_eos(m):
+            m["vocab"][2] = "<end>"
+
+        ckpt = _corrupted_checkpoint(workspace["checkpoint"], tmp_path / "m.ckpt", edit=rename_eos)
+        code, err = self._generate(workspace, ckpt, capsys)
+        assert code == 2
+        assert "vocab must start with ['<pad>', '<unk>', '<eos>']" in err
+
+    def test_vocab_with_repeated_token(self, workspace, tmp_path, capsys):
+        def repeat(m):
+            m["vocab"][-1] = m["vocab"][-2]
+
+        ckpt = _corrupted_checkpoint(workspace["checkpoint"], tmp_path / "m.ckpt", edit=repeat)
+        code, err = self._generate(workspace, ckpt, capsys)
+        assert code == 2
+        assert "vocab holds tokens more than once" in err
+
     def test_untouched_copy_still_loads(self, workspace, tmp_path, capsys):
         ckpt = _corrupted_checkpoint(workspace["checkpoint"], tmp_path / "m.ckpt")
         code, err = self._generate(workspace, ckpt, capsys)
@@ -625,6 +673,14 @@ class TestGradcheck:
         assert captured.err.startswith("error: ") and "must be positive" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("eps", ["0", "-1e-5", "inf"])
+    def test_eps_not_positive_and_finite_exits_two(self, capsys, eps):
+        assert main(["gradcheck", "--d", "8", "--heads", "2", "--layers", "1",
+                     f"--eps={eps}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "eps must be positive" in captured.err
+        assert captured.out == ""
+
     def test_unreachable_tolerance_exits_two(self, capsys):
         assert main(["gradcheck", "--d", "8", "--heads", "2", "--layers", "1",
                      "--tolerance", "1e-30"]) == 2
@@ -664,6 +720,17 @@ class TestEnvConfig:
         out = tmp_path / "c.jsonl"
         assert main(["synth-corpus", "--chains", str(workspace["chains"]),
                      "--cases-per-charge", "2", "--out", str(out)]) == 0
+
+    def test_negative_seed_from_config_is_usage_error(self, workspace, tmp_path,
+                                                      monkeypatch, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": -5}), encoding="utf-8")
+        monkeypatch.setenv(CONFIG_ENV, str(config))
+        out = tmp_path / "c.jsonl"
+        assert main(["synth-corpus", "--chains", str(workspace["chains"]),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
 
     def test_unreadable_config_is_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(CONFIG_ENV, str(tmp_path / "missing.json"))

@@ -680,10 +680,11 @@ class TestGeneration:
             assert model.params[name] is t and t.data is data and t.grad is None
             np.testing.assert_array_equal(data, copy_, err_msg=name)
 
-    def test_max_len_zero_yields_empty(self):
+    def test_max_len_below_one_is_rejected(self):
         model, chains, cases = _fixture()
-        out = decode_case(model, cases[0], chains, max_len=0)
-        assert out.token_ids == [] and out.text == ""
+        for max_len in (0, -3):
+            with pytest.raises(ContractError, match="max_len must be at least 1"):
+                decode_case(model, cases[0], chains, max_len=max_len)
 
     def test_prefix_overflow_raises(self):
         model, _, _ = _fixture(context=4)

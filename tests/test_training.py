@@ -403,7 +403,6 @@ class TestMemorization:
         assert result.log_rows[-1]["loss_total"] < 0.05
         out = decode_case(result.model, case, library["dangerous_driving"], max_len=120)
         assert out.text == case.opinion
-        assert out.extracted_months == case.sentence_months
 
 
 class TestHeldoutEvaluation:
