@@ -360,6 +360,8 @@ def _apply_env_config(parser: _Parser, argv: list[str]) -> None:
 
     Only keys matching the invoked subcommand's options are applied, and
     explicit flags always win because these are defaults, not overrides.
+    Each value is converted as the option's command-line text would be (see
+    :func:`_config_value`).
     """
     path = os.environ.get(CONFIG_ENV)
     if not path:
@@ -376,9 +378,36 @@ def _apply_env_config(parser: _Parser, argv: list[str]) -> None:
     subparser = parser.subcommands.get(command)
     if subparser is None:
         return
-    dests = {a.dest for a in subparser._actions}
-    subparser.set_defaults(**{k.replace("-", "_"): v for k, v in doc.items()
-                              if k.replace("-", "_") in dests})
+    options = {a.dest: a for a in subparser._actions if not isinstance(a, argparse._HelpAction)}
+    defaults = {}
+    for key, value in doc.items():
+        action = options.get(key.replace("-", "_"))
+        if action is not None:
+            defaults[action.dest] = _config_value(action, value, f"{CONFIG_ENV} file {path!r}: "
+                                                                 f"{key!r}")
+    subparser.set_defaults(**defaults)
+
+
+def _config_value(action: argparse.Action, value, where: str):
+    """A config file's value for one option.  A flag takes true or false;
+    any other option takes a string or a number, converted from its text by
+    the option's type and checked against its choices, as argparse treats
+    the command line.  Anything else raises UsageError naming ``where``."""
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+        raise UsageError(f"{where} must be true or false, got {json.dumps(value)}")
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise UsageError(f"{where} must be a string or a number, got {json.dumps(value)}")
+    text = str(value)
+    try:
+        converted = action.type(text) if action.type is not None else text
+    except (TypeError, ValueError):
+        raise UsageError(f"{where} has invalid {action.type.__name__} value {text!r}") from None
+    if action.choices is not None and converted not in action.choices:
+        raise UsageError(f"{where} must be one of {', '.join(map(str, action.choices))}, "
+                         f"got {text!r}")
+    return converted
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,7 +5,11 @@ CSV logging, checkpointing, and the with/without-chains ablation harness.
 from __future__ import annotations
 
 import csv
+import ctypes
 import math
+import mmap
+import multiprocessing
+import signal
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Mapping
@@ -15,10 +19,12 @@ import numpy as np
 from .chains import ChainSet, SentencingRange, chain_from_text
 from .checkpoint import save_checkpoint
 from .corpus import CaseRecord, CorpusSplit, NAME_POOL, generator_surface_texts
-from .encoder import build_vocab
+from . import tensor as T
+from .encoder import EncodedChainSet, build_vocab
 from .errors import ConfigurationError, ContractError, EvaluationError
 from .metrics import evaluate_outputs, extract_sentence_months, mae_rmse
-from .model import Model, ModelConfig, build_model, decode_cases, joint_loss
+from .model import (Model, ModelConfig, build_model, case_target, decode_cases, joint_loss,
+                    share_loss)
 from .tensor import Tape, Tensor, backward, grad_check
 
 LOG_HEADER = ["epoch", "loss_total", "loss_reasoning", "loss_sentencing",
@@ -160,6 +166,180 @@ class TrainResult:
     config: TrainConfig
 
 
+def _serial_step(batch, model: Model, cfg: TrainConfig,
+                 rng: np.random.Generator) -> tuple[dict[str, np.ndarray], tuple[float, ...]]:
+    """One batch's parameter gradients and (total, reasoning, sentencing)
+    loss values, all in this process."""
+    with Tape() as tape:
+        tape.watch(*model.params.values())
+        losses = joint_loss(batch, model, cfg.alpha, cfg.beta, dropout_rate=cfg.dropout, rng=rng)
+        backward(tape, losses.total)
+    grads = {name: t.grad for name, t in model.params.items()}
+    return grads, (losses.total.item(), losses.reasoning.item(), losses.sentencing.item())
+
+
+def _shared_views(buffer: mmap.mmap, params: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
+    """One array per parameter, in ``params`` order, laid end to end over ``buffer``."""
+    flat = np.frombuffer(buffer, dtype=np.float64)
+    views = {}
+    offset = 0
+    for name, t in params.items():
+        views[name] = flat[offset:offset + t.size].reshape(t.shape)
+        offset += t.size
+    return views
+
+
+def _openblas_threads():
+    """The ``(get, set)`` thread-count functions of the OpenBLAS this process
+    has loaded, or None under another BLAS."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)  # the library already loaded, not a second copy
+        for prefix, suffix in (("openblas", ""), ("scipy_openblas", "64_"), ("openblas", "64_")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                return get, put
+    return None
+
+
+class _Worker:
+    """A forked process that scores the trailing share of each step's batch.
+
+    The main process keeps the first ``ceil(k/2)`` cases of a k-case batch
+    and encodes every chain set; the worker decodes the rest from copies of
+    the encoded rows and returns their gradients.  Parameters reach it
+    through one shared buffer, refreshed before every job, and its parameter
+    gradients come back through another; case indices, chain rows and counts
+    go out over a pipe, and loss terms and chain-row gradients come back.
+
+    While the worker lives, OpenBLAS runs on one thread in both processes.
+    Its idle threads spin between calls, so with a pool in each process on a
+    two-core machine a training ran three times slower than in one process.
+    """
+
+    def __init__(self, model: Model, records: list[CaseRecord], cfg: TrainConfig):
+        nbytes = 8 * sum(t.size for t in model.params.values())
+        param_buffer, grad_buffer = mmap.mmap(-1, nbytes), mmap.mmap(-1, nbytes)
+        self.param_views = _shared_views(param_buffer, model.params)
+        self.grad_views = _shared_views(grad_buffer, model.params)
+        context = multiprocessing.get_context("fork")
+        self.conn, worker_end = context.Pipe()
+        self.process = context.Process(
+            target=_serve, args=(worker_end, self.conn, model, records, cfg,
+                                 param_buffer, grad_buffer), daemon=True)
+        self.process.start()
+        worker_end.close()
+        self.blas = _openblas_threads()
+        if self.blas is not None:
+            self.blas_threads = self.blas[0]()
+            self.blas[1](1)
+
+    def step(self, chunk, batch, model: Model, cfg: TrainConfig,
+             rng: np.random.Generator) -> tuple[dict[str, np.ndarray], tuple[float, ...]]:
+        """:func:`_serial_step` of a batch of two or more cases, split with the
+        worker.  The gradients add up in one order: this process's share, the
+        worker's share, then the encoder's."""
+        for name, view in self.param_views.items():
+            view[...] = model.params[name].data
+        tape = Tape()
+        chains: list[tuple[Tensor, Tensor]] = []
+
+        def hand_off(pairs, slots, token_count, mask_count):
+            keep = (len(batch) + 1) // 2
+            chains.extend(pairs)
+            tape.watch(*(leaf for _, leaf in pairs))
+            theirs = {slot for slot in slots[keep:] if slot is not None}
+            self.conn.send((chunk[keep:], slots[keep:],
+                            {slot: pairs[slot][0].data for slot in theirs},
+                            token_count, mask_count))
+            return keep
+
+        with tape:
+            tape.watch(*model.params.values())
+            mine = joint_loss(batch, model, cfg.alpha, cfg.beta, dropout_rate=cfg.dropout,
+                              rng=rng, hand_off=hand_off)
+            backward(tape, mine.total)
+            grads = {name: t.grad for name, t in model.params.items()}
+            terms, chain_grads = self._reply()
+            for name, g in self.grad_views.items():
+                grads[name] = grads[name] + g
+            if chains:
+                pulled = None
+                for slot, (rows, leaf) in enumerate(chains):
+                    g = leaf.grad if slot not in chain_grads else leaf.grad + chain_grads[slot]
+                    term = T.tsum(rows * Tensor(g))
+                    pulled = term if pulled is None else pulled + term
+                backward(tape, pulled)
+                for name, t in model.params.items():
+                    grads[name] = grads[name] + t.grad
+        values = (mine.total.item(), mine.reasoning.item(), mine.sentencing.item())
+        return grads, tuple(a + b for a, b in zip(values, terms))
+
+    def _reply(self):
+        try:
+            reply = self.conn.recv()
+        except EOFError:
+            raise ChildProcessError("the training worker exited during a step") from None
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    def close(self) -> None:
+        """Stop the worker: it exits when its pipe closes."""
+        self.conn.close()
+        self.process.join(timeout=10)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join()
+        if self.blas is not None:
+            self.blas[1](self.blas_threads)
+
+
+def _serve(conn, main_end, model: Model, records: list[CaseRecord], cfg: TrainConfig,
+           param_buffer: mmap.mmap, grad_buffer: mmap.mmap) -> None:
+    """The worker's loop: one reply per job until the pipe closes.  An error
+    from the share (a too-long case, say) goes back as the reply."""
+    main_end.close()  # so that the main process's exit closes the pipe
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process decides when to stop
+    blas = _openblas_threads()
+    if blas is not None:
+        blas[1](1)
+    for name, view in _shared_views(param_buffer, model.params).items():
+        model.params[name].data = view
+    grads = _shared_views(grad_buffer, model.params)
+    while True:
+        try:
+            indices, slots, rows, token_count, mask_count = conn.recv()
+        except EOFError:
+            return
+        try:
+            leaves = {slot: EncodedChainSet(Tensor(data, requires_grad=True))
+                      for slot, data in rows.items()}
+            cases = [(records[i], None if slot is None else leaves[slot])
+                     for i, slot in zip(indices, slots)]
+            targets = [case_target(record, model.table, cfg.beta) for record, _ in cases]
+            with Tape() as tape:
+                tape.watch(*model.params.values(), *(e.e_chain for e in leaves.values()))
+                losses = share_loss(cases, targets, model, cfg.alpha, cfg.beta,
+                                    token_count, mask_count)
+                backward(tape, losses.total)
+            for name, t in model.params.items():
+                grads[name][...] = t.grad
+            reply = ((losses.total.item(), losses.reasoning.item(), losses.sentencing.item()),
+                     {slot: e.e_chain.grad for slot, e in leaves.items()})
+        except Exception as exc:
+            reply = exc
+        try:
+            conn.send(reply)
+        except OSError:
+            return
+
+
 def _write_log(path: str | Path, rows: list[dict]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -192,6 +372,11 @@ def train(split: CorpusSplit, library: Mapping[str, ChainSet], cfg: TrainConfig,
     same data order) but every case decodes from a chain-free prefix.  A
     non-finite loss or pre-clip gradient norm raises EvaluationError before
     the optimizer step.
+
+    Each step of two or more cases is split with one forked worker process
+    (see :class:`_Worker`), which lives as long as this call.  The split and
+    the order in which the shares' gradients add up are fixed, so a run's
+    results do not depend on timing or on the number of cores.
     """
     if not split.train:
         raise ContractError("training split is empty")
@@ -199,6 +384,19 @@ def train(split: CorpusSplit, library: Mapping[str, ChainSet], cfg: TrainConfig,
     chain_map = charge_chains(library, charges, cfg.use_chains)
     vocab = training_vocab(split.train, library)
     model = build_model(vocab, charges, cfg.model_config(), cfg.seed)
+    worker = None
+    if min(cfg.batch_size, len(split.train)) > 1:
+        worker = _Worker(model, split.train, cfg)
+    try:
+        return _train_epochs(split, chain_map, model, cfg, worker, checkpoint_path, log_path)
+    finally:
+        if worker is not None:
+            worker.close()
+
+
+def _train_epochs(split: CorpusSplit, chain_map: Mapping[str, ChainSet | None], model: Model,
+                  cfg: TrainConfig, worker: _Worker | None, checkpoint_path: str | Path | None,
+                  log_path: str | Path | None) -> TrainResult:
     adam = AdamState()
     dropout_rng = np.random.default_rng([cfg.seed, 101])
     golds = [rec.sentence_months for rec in split.test]
@@ -211,21 +409,18 @@ def train(split: CorpusSplit, library: Mapping[str, ChainSet], cfg: TrainConfig,
         for step, start in enumerate(range(0, len(order), cfg.batch_size), start=1):
             chunk = order[start:start + cfg.batch_size]
             batch = [(split.train[i], chain_map[split.train[i].charge]) for i in chunk]
-            with Tape() as tape:
-                tape.watch(*model.params.values())
-                losses = joint_loss(batch, model, cfg.alpha, cfg.beta,
-                                    dropout_rate=cfg.dropout, rng=dropout_rng)
-                backward(tape, losses.total)
-            grads = {name: t.grad for name, t in model.params.items()}
+            if len(batch) == 1:
+                grads, terms = _serial_step(batch, model, cfg, dropout_rng)
+            else:
+                grads, terms = worker.step(chunk, batch, model, cfg, dropout_rng)
             norm = clip_gradients(grads, cfg.grad_clip)
-            loss_value = losses.total.item()
+            loss_value = terms[0]
             if not (math.isfinite(loss_value) and math.isfinite(norm)):
                 raise EvaluationError(f"epoch {epoch}, step {step}: loss {loss_value} or "
                                       f"gradient norm {norm} is not finite")
             adam_step(model.params, grads, adam, cfg.lr)
-            sums["loss_total"] += loss_value * len(chunk)
-            sums["loss_reasoning"] += losses.reasoning.item() * len(chunk)
-            sums["loss_sentencing"] += losses.sentencing.item() * len(chunk)
+            for key, value in zip(sums, terms):
+                sums[key] += value * len(chunk)
             weight += len(chunk)
         row = {
             "epoch": epoch,

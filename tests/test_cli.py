@@ -767,6 +767,40 @@ class TestEnvConfig:
         monkeypatch.setenv(CONFIG_ENV, str(config))
         assert main(["synth-corpus", "--out", str(tmp_path / "c.jsonl")]) == 1
 
+    @pytest.mark.parametrize("command, doc, wrong", [
+        (["synth-corpus"], {"seed": None}, "must be a string or a number, got null"),
+        (["gradcheck"], {"d": 8.0}, "has invalid int value '8.0'"),
+        (["gradcheck"], {"eps": True}, "must be a string or a number, got true"),
+        (["synth-corpus"], {"cases-per-charge": [2]}, "must be a string or a number"),
+        (["train", "--corpus", "c", "--checkpoint", "m"], {"no-chains": 1},
+         "must be true or false, got 1"),
+        (["generate", "--corpus", "c", "--checkpoint", "m"], {"mode": "beam"},
+         "must be one of greedy, top-k, got 'beam'"),
+    ])
+    def test_value_of_the_wrong_type_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                    command, doc, wrong):
+        """argparse converts only string defaults, so a config value of
+        another JSON type used to reach the command unconverted: a null seed
+        or a float layer width ended in a TypeError traceback."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        monkeypatch.setenv(CONFIG_ENV, str(config))
+        out = tmp_path / "c.jsonl"
+        assert main(command + ["--out", str(out)] * (command[0] == "synth-corpus")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and repr(next(iter(doc))) in err and wrong in err
+        assert not out.exists()
+
+    def test_text_and_numbers_convert_as_on_the_command_line(self, workspace, tmp_path,
+                                                             monkeypatch, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": "5", "cases_per_charge": 2}), encoding="utf-8")
+        monkeypatch.setenv(CONFIG_ENV, str(config))
+        assert main(["synth-corpus", "--chains", str(workspace["chains"]),
+                     "--out", str(tmp_path / "c.jsonl")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["seed"], summary["cases"]) == (5, 2)
+
 
 class TestNonUtf8Inputs:
     """A text input that is not UTF-8 ends in the exit code its malformed

@@ -1,5 +1,5 @@
-"""Property tests of the condition-text parser, the JSON input boundaries and
-the extraction-response parser, with Hypothesis.
+"""Property tests of the condition-text parser, the JSON input boundaries,
+the extraction-response parser and the CLI's config file, with Hypothesis.
 
 Every property is derandomized with a fixed example budget and no example
 database, so every run draws the same examples.
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from lexchain.chains import (MAX_NESTING, ChainSet, Node, Predicate, SentencingRange,
                              chain_from_text, expr_to_text, parse_chain_file,
                              parse_extraction_response, parse_infix, serialize_chain_set)
-from lexchain.cli import CONFIG_ENV, main
+from lexchain.cli import CONFIG_ENV, build_parser, main
 from lexchain.corpus import load_jsonl
 from lexchain.errors import LexchainError, ParseError
 
@@ -199,3 +199,39 @@ def test_parse_chains_exits_two_on_a_malformed_response(response):
         assert code == want
         if want == 0:
             assert parse_chain_file(out.read_text(encoding="utf-8")).charge == "toy"
+
+
+# Cheap commands with every required path given on the command line, so a
+# config key only sets a default (the output path included, which the flag
+# then overrides).  The corpus is one synthesized case per charge.
+_CONFIG_COMMANDS = {
+    "synth-corpus": ["--cases-per-charge", "1", "--distractors", "0"],
+    "validate-chains": [],
+    "screen": ["--corpus", "corpus.jsonl"],
+}
+
+
+def _option_keys(command):
+    return sorted(a.dest for a in build_parser().subcommands[command]._actions
+                  if a.option_strings and a.dest != "help")
+
+
+_config_cases = st.sampled_from(sorted(_CONFIG_COMMANDS)).flatmap(
+    lambda command: st.tuples(st.just(command), st.sampled_from(_option_keys(command)),
+                              json_values, st.booleans()))
+
+
+@settings(DETERMINISTIC, max_examples=150)
+@given(_config_cases)
+def test_any_config_value_ends_in_an_exit_code(case):
+    """Any JSON value under any option key of a cheap command, spelled with
+    dashes or underscores, ends in exit 0 to 3 and never in a traceback."""
+    command, key, value, dashed = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.delenv(CONFIG_ENV, raising=False)
+        mp.chdir(tmp)
+        assert main(["synth-corpus", "--cases-per-charge", "1", "--out", "corpus.jsonl"]) == 0
+        Path("config.json").write_text(
+            json.dumps({key.replace("_", "-") if dashed else key: value}), encoding="utf-8")
+        mp.setenv(CONFIG_ENV, "config.json")
+        assert main([command, *_CONFIG_COMMANDS[command], "--out", "out.json"]) in (0, 1, 2, 3)

@@ -3,6 +3,13 @@ logging, checkpointing, memorization of a single case, the ablation harness,
 and the end-to-end finite-difference check."""
 
 import csv
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +20,7 @@ from lexchain.cli import default_chains_dir
 from lexchain.corpus import CaseRecord, CorpusSplit, synthesize_corpus, split
 from lexchain import model as model_module
 from lexchain import training as training_module
-from lexchain.errors import ConfigurationError, ContractError, EvaluationError
+from lexchain.errors import CapacityError, ConfigurationError, ContractError, EvaluationError
 from lexchain.model import ModelConfig, build_model, decode_case, decode_cases, joint_loss
 from lexchain import tensor as tensor_module
 from lexchain.tensor import Tape, Tensor, _record, backward
@@ -342,6 +349,7 @@ class TestTrainLoop:
         ckpt = tmp_path / "model.zip"
         with pytest.raises(EvaluationError, match="epoch 1, step 1:"):
             train(parts, library, _tiny_cfg(), checkpoint_path=ckpt)
+        assert multiprocessing.active_children() == []
         (state,) = states
         assert (state.step, state.m, state.v) == (0, {}, {})
         ((model, before),) = built
@@ -386,6 +394,116 @@ class TestTrainLoop:
         assert extra["train_config"] == cfg.to_dict()
         for name, tensor in result.model.params.items():
             np.testing.assert_array_equal(tensor.data, loaded.params[name].data)
+
+
+class TestWorker:
+    """Each step of two or more cases is split with one forked worker, which
+    lives exactly as long as ``train``."""
+
+    def _alive_at_each_step(self, monkeypatch):
+        alive = []
+        adam = training_module.adam_step
+
+        def counting(*args):
+            alive.append(len(multiprocessing.active_children()))
+            return adam(*args)
+
+        monkeypatch.setattr(training_module, "adam_step", counting)
+        return alive
+
+    @pytest.mark.parametrize("batch_size, workers", [(2, 1), (1, 0)])
+    def test_one_worker_lives_only_while_train_runs(self, driving_corpus, library, monkeypatch,
+                                                    batch_size, workers):
+        """One worker is alive at every step and none after ``train``
+        returns; a batch of one case never leaves the main process, so
+        one-case batches start no worker."""
+        alive = self._alive_at_each_step(monkeypatch)
+        parts = split(driving_corpus, 0.8, seed=0)
+        train(parts, library, _tiny_cfg(epochs=1, batch_size=batch_size))
+        assert alive and set(alive) == {workers}
+        assert multiprocessing.active_children() == []
+
+    def test_openblas_runs_on_one_thread_only_while_the_worker_lives(
+            self, driving_corpus, library, monkeypatch):
+        blas = training_module._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy is not linked to OpenBLAS")
+        before = blas[0]()
+        seen = []
+        adam = training_module.adam_step
+
+        def counting(*args):
+            seen.append(blas[0]())
+            return adam(*args)
+
+        monkeypatch.setattr(training_module, "adam_step", counting)
+        train(split(driving_corpus, 0.8, seed=0), library, _tiny_cfg(epochs=1))
+        assert set(seen) == {1}
+        assert blas[0]() == before
+
+    def test_too_long_case_in_the_worker_share_raises_as_joint_loss_does(
+            self, driving_corpus, library, monkeypatch):
+        """A case too long for the context, placed in the worker's share of
+        the one batch, raises the CapacityError that ``joint_loss`` raises
+        for it, in the main process, and leaves no process behind."""
+        parts = split(driving_corpus, 0.8, seed=0)
+        cases = list(parts.train)
+        cfg = _tiny_cfg(epochs=1, batch_size=len(cases))
+        order = np.random.default_rng([cfg.seed, 202, 1]).permutation(len(cases))
+        worker_share = order[(len(cases) + 1) // 2:]
+        long = cases[worker_share[-1]]
+        cases[worker_share[-1]] = CaseRecord(
+            case_id=long.case_id, fact=long.fact + " the car" * cfg.context, charge=long.charge,
+            opinion=long.opinion, sentence_months=long.sentence_months,
+            sentencing_span=long.sentencing_span, defendant=long.defendant)
+        built = []
+        rows_seen = []
+        build_model = training_module.build_model
+        add_positions = model_module.add_positions
+
+        def recording_build(*args):
+            built.append(build_model(*args))
+            return built[-1]
+
+        def recording_positions(x, *args):
+            rows_seen.append(x.shape[0])  # the main process's calls only
+            return add_positions(x, *args)
+
+        monkeypatch.setattr(training_module, "build_model", recording_build)
+        monkeypatch.setattr(model_module, "add_positions", recording_positions)
+        with pytest.raises(CapacityError) as raised:
+            train(CorpusSplit(train=cases, test=[], seed=0), library, cfg)
+        assert multiprocessing.active_children() == []
+        assert rows_seen and max(rows_seen) <= cfg.context
+        with pytest.raises(CapacityError) as alone:
+            joint_loss([(cases[worker_share[-1]], library[long.charge])], built[0])
+        assert str(raised.value) == str(alone.value)
+
+    def test_worker_exits_when_the_main_process_dies(self, tmp_path):
+        """The worker holds no copy of the main process's pipe end, so the
+        pipe closes when the main process dies without cleaning up, and the
+        worker exits."""
+        script = (
+            "import os, sys\n"
+            "from lexchain.training import TrainConfig, _Worker, _gradcheck_fixture\n"
+            "model, batch = _gradcheck_fixture(8, 2, 1, 0)\n"
+            "worker = _Worker(model, [case for case, _ in batch], TrainConfig())\n"
+            "print(worker.process.pid, flush=True)\n"
+            "os._exit(0)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(training_module.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        with subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                              text=True, env=env) as main_process:
+            pid = int(main_process.stdout.readline())
+            assert main_process.wait(timeout=60) == 0
+        stat = Path(f"/proc/{pid}/stat")
+        deadline = time.monotonic() + 30
+        while stat.exists() and stat.read_text().rsplit(")", 1)[1].split()[0] != "Z":
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                pytest.fail("the worker outlived the main process")
+            time.sleep(0.05)
 
 
 class TestMemorization:
@@ -564,3 +682,37 @@ def test_joint_loss_records_a_fixed_number_of_tape_nodes(library):
         tape.watch(*model.params.values())
         joint_loss(batch, model)
     assert len(tape.nodes) == 199
+
+
+@pytest.mark.parametrize("use_chains, dropout", [(True, 0.0), (False, 0.0), (True, 0.1)])
+def test_two_share_step_matches_joint_loss(library, use_chains, dropout):
+    """The step split between the main process and the worker gives the
+    gradients and loss terms of ``joint_loss`` over the whole batch, and
+    draws the same dropout masks from the same generator state.  Only the
+    order of the sums differs, so each gradient agrees to rtol 1e-12 with
+    an absolute floor of 1e-12 of its largest entry (an entry summed from
+    terms that cancel can differ more in relative terms)."""
+    model, batch = _acceptance_batch(library)
+    batch = [(rec, chains if use_chains else None) for rec, chains in batch]
+    cfg = TrainConfig(dropout=dropout)
+    rng = np.random.default_rng(7)
+    with Tape() as tape:
+        tape.watch(*model.params.values())
+        losses = joint_loss(batch, model, cfg.alpha, cfg.beta, dropout_rate=dropout, rng=rng)
+        backward(tape, losses.total)
+    want = {name: t.grad for name, t in model.params.items()}
+    split_rng = np.random.default_rng(7)
+    worker = training_module._Worker(model, [rec for rec, _ in batch], cfg)
+    try:
+        got, terms = worker.step(np.arange(len(batch)), batch, model, cfg, split_rng)
+    finally:
+        worker.close()
+    assert split_rng.random() == rng.random()
+    np.testing.assert_allclose(
+        terms, [losses.total.item(), losses.reasoning.item(), losses.sentencing.item()],
+        rtol=1e-12)
+    assert sorted(got) == sorted(want)
+    for name, grad in want.items():
+        np.testing.assert_allclose(got[name], grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max(),
+                                   err_msg=name)
+    assert (np.abs(want["enc.fusion.W"]).max() > 0) == use_chains
