@@ -13,7 +13,7 @@ positional embeddings indexed by their absolute row in the combined sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, MutableMapping, Sequence
+from typing import Mapping, MutableMapping, Sequence
 
 import numpy as np
 
@@ -247,8 +247,8 @@ class JointLoss:
     mask_count: int
 
 
-def case_target(record, table: EmbeddingTable,
-                beta: float) -> tuple[list[int], tuple[int, int] | None]:
+def _case_target(record, table: EmbeddingTable,
+                 beta: float) -> tuple[list[int], tuple[int, int] | None]:
     """A case's target, the opinion's token ids followed by ``<eos>``, and the
     token interval of its sentencing clause (None when it has none, which
     ``beta > 0`` rejects)."""
@@ -265,15 +265,45 @@ def case_target(record, table: EmbeddingTable,
     return target, interval
 
 
-def share_loss(cases: Sequence[tuple], targets: Sequence[tuple], model: Model, alpha: float,
-               beta: float, token_count: int, mask_count: int) -> JointLoss:
-    """The joint objective's share of ``cases`` ((case, encoded chain set or
-    None) pairs, with their :func:`case_target`) in a batch of
-    ``token_count`` target tokens and ``mask_count`` clause tokens: the
-    shares of a batch's cases add up to its :func:`joint_loss`."""
+def joint_loss(batch: Sequence[tuple], model: Model, alpha: float = 1.0, beta: float = 1.0,
+               dropout_rate: float = 0.0, rng: np.random.Generator | None = None,
+               scored: slice = slice(None)) -> JointLoss:
+    """Teacher-forced joint objective over a batch of (case, chain set) pairs.
+
+    ``chain set`` may be None per pair (the no-chain ablation path).  Each
+    distinct chain set (by object identity) is encoded once per call, in
+    batch order before any case is decoded, and its tensor reused by every
+    case that holds it; the tape sums their gradients.  With
+    ``dropout_rate > 0`` the cases sharing a set therefore share one dropout
+    draw.  The reasoning term averages over all target tokens in the batch;
+    the sentencing term averages over sentencing-clause tokens only.
+
+    Only the cases ``batch[scored]`` are decoded, but the counts and the
+    encodings still cover the whole batch.  So slices that split a batch,
+    each scored from the same generator state, give loss terms and
+    gradients that add up to the whole batch's; an empty slice is a
+    ContractError.
+    """
+    if alpha < 0 or beta < 0 or (alpha == 0 and beta == 0):
+        raise ContractError(f"loss weights must be >= 0 and not both zero, got {alpha}, {beta}")
+    if not batch:
+        raise ContractError("empty batch")
+    targets = [_case_target(record, model.table, beta) for record, _ in batch]
+    token_count = sum(len(target) for target, _ in targets)
+    mask_count = sum(span[1] - span[0] for _, span in targets if span is not None)
+    encodings: dict[int, EncodedChainSet] = {}
+    for _, chain_set in batch:
+        if chain_set is not None and id(chain_set) not in encodings:
+            encodings[id(chain_set)] = encode_chain_set(chain_set, model.table, model.params,
+                                                        model.cfg.enc_heads,
+                                                        dropout_rate=dropout_rate, rng=rng)
+    cases = list(zip(batch, targets))[scored]
+    if not cases:
+        raise ContractError(f"{scored} selects no case of a batch of {len(batch)}")
     sum_reasoning = None
     sum_sentencing = None
-    for (record, encoded), (target, interval) in zip(cases, targets):
+    for (record, chain_set), (target, interval) in cases:
+        encoded = None if chain_set is None else encodings[id(chain_set)]
         combined = combine(encoded, record.fact, model.table)
         n = encoded.n if encoded is not None else 0
         prefix_len = combined.shape[0]
@@ -300,57 +330,6 @@ def share_loss(cases: Sequence[tuple], targets: Sequence[tuple], model: Model, a
     total = alpha * reasoning + beta * sentencing
     return JointLoss(total=total, reasoning=reasoning, sentencing=sentencing,
                      token_count=token_count, mask_count=mask_count)
-
-
-def joint_loss(batch: Sequence[tuple], model: Model, alpha: float = 1.0, beta: float = 1.0,
-               dropout_rate: float = 0.0, rng: np.random.Generator | None = None,
-               hand_off: Callable[[list[tuple[Tensor, Tensor]], list[int | None], int, int], int]
-               | None = None) -> JointLoss:
-    """Teacher-forced joint objective over a batch of (case, chain set) pairs.
-
-    ``chain set`` may be None per pair (the no-chain ablation path).  Each
-    distinct chain set (by object identity) is encoded once per call, in
-    batch order before any case is decoded, and its tensor reused by every
-    case that holds it; the tape sums their gradients.  With
-    ``dropout_rate > 0`` the cases sharing a set therefore share one dropout
-    draw.  The reasoning term averages over all target tokens in the batch;
-    the sentencing term averages over sentencing-clause tokens only.
-
-    ``hand_off`` shares the batch with another process.  Once every set is
-    encoded it is called with one (encoded rows, watched leaf copy) pair per
-    set, each case's index into those pairs (None without chains), and the
-    batch's token and clause counts; it passes on the cases it takes and
-    returns how many leading cases this call scores.  Those decode from the
-    leaf copies, so the returned share of the loss stops at the leaves, and
-    the caller carries their gradients, summed over the shares, back
-    through the encoded rows.
-    """
-    if alpha < 0 or beta < 0 or (alpha == 0 and beta == 0):
-        raise ContractError(f"loss weights must be >= 0 and not both zero, got {alpha}, {beta}")
-    if not batch:
-        raise ContractError("empty batch")
-    targets = [case_target(record, model.table, beta) for record, _ in batch]
-    token_count = sum(len(target) for target, _ in targets)
-    mask_count = sum(span[1] - span[0] for _, span in targets if span is not None)
-    encodings: list[EncodedChainSet] = []
-    slot_of: dict[int, int] = {}
-    slots: list[int | None] = []
-    for _, chain_set in batch:
-        if chain_set is not None and id(chain_set) not in slot_of:
-            slot_of[id(chain_set)] = len(encodings)
-            encodings.append(encode_chain_set(chain_set, model.table, model.params,
-                                              model.cfg.enc_heads, dropout_rate=dropout_rate,
-                                              rng=rng))
-        slots.append(None if chain_set is None else slot_of[id(chain_set)])
-    scored = len(batch)
-    if hand_off is not None:
-        leaves = [EncodedChainSet(Tensor(e.e_chain.data, requires_grad=True)) for e in encodings]
-        scored = hand_off([(e.e_chain, leaf.e_chain) for e, leaf in zip(encodings, leaves)],
-                          slots, token_count, mask_count)
-        encodings = leaves
-    cases = [(record, None if slot is None else encodings[slot])
-             for (record, _), slot in zip(batch[:scored], slots)]
-    return share_loss(cases, targets[:scored], model, alpha, beta, token_count, mask_count)
 
 
 # ---------------------------------------------------------------------------

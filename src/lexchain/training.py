@@ -19,12 +19,10 @@ import numpy as np
 from .chains import ChainSet, SentencingRange, chain_from_text
 from .checkpoint import save_checkpoint
 from .corpus import CaseRecord, CorpusSplit, NAME_POOL, generator_surface_texts
-from . import tensor as T
-from .encoder import EncodedChainSet, build_vocab
+from .encoder import build_vocab
 from .errors import ConfigurationError, ContractError, EvaluationError
 from .metrics import evaluate_outputs, extract_sentence_months, mae_rmse
-from .model import (Model, ModelConfig, build_model, case_target, decode_cases, joint_loss,
-                    share_loss)
+from .model import Model, ModelConfig, build_model, decode_cases, joint_loss
 from .tensor import Tape, Tensor, backward, grad_check
 
 LOG_HEADER = ["epoch", "loss_total", "loss_reasoning", "loss_sentencing",
@@ -166,16 +164,39 @@ class TrainResult:
     config: TrainConfig
 
 
-def _serial_step(batch, model: Model, cfg: TrainConfig,
-                 rng: np.random.Generator) -> tuple[dict[str, np.ndarray], tuple[float, ...]]:
-    """One batch's parameter gradients and (total, reasoning, sentencing)
-    loss values, all in this process."""
+def _share(batch, scored: slice, model: Model, cfg: TrainConfig,
+           rng: np.random.Generator) -> tuple[dict[str, np.ndarray], tuple[float, ...]]:
+    """The parameter gradients and (total, reasoning, sentencing) loss values
+    of :func:`joint_loss` over ``batch[scored]``: one tape, one sweep."""
     with Tape() as tape:
         tape.watch(*model.params.values())
-        losses = joint_loss(batch, model, cfg.alpha, cfg.beta, dropout_rate=cfg.dropout, rng=rng)
+        losses = joint_loss(batch, model, cfg.alpha, cfg.beta, dropout_rate=cfg.dropout, rng=rng,
+                            scored=scored)
         backward(tape, losses.total)
     grads = {name: t.grad for name, t in model.params.items()}
     return grads, (losses.total.item(), losses.reasoning.item(), losses.sentencing.item())
+
+
+def _step(chunk, pairs: list[tuple], model: Model, cfg: TrainConfig, rng: np.random.Generator,
+          worker: _Worker | None) -> tuple[dict[str, np.ndarray], tuple[float, ...]]:
+    """One batch's parameter gradients and loss values: the cases ``chunk``
+    of ``pairs``.  With a worker, a batch of k >= 2 cases is split: the
+    worker scores the last ``k - ceil(k/2)`` from a copy of ``rng`` taken
+    before this process scores the rest, so both encode every chain set
+    with the same dropout draws.  The gradients add up in one order: this
+    process's share, then the worker's.  Otherwise this process scores the
+    whole batch."""
+    batch = [pairs[i] for i in chunk]
+    keep = len(batch) if worker is None or len(batch) == 1 else (len(batch) + 1) // 2
+    if keep < len(batch):
+        worker.send((chunk, keep, rng))
+    grads, terms = _share(batch, slice(keep), model, cfg, rng)
+    if keep < len(batch):
+        theirs = worker.reply()
+        for name, g in worker.grad_views.items():
+            grads[name] = grads[name] + g
+        terms = tuple(a + b for a, b in zip(terms, theirs))
+    return grads, terms
 
 
 def _shared_views(buffer: mmap.mmap, params: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
@@ -208,29 +229,30 @@ def _openblas_threads():
 
 
 class _Worker:
-    """A forked process that scores the trailing share of each step's batch.
+    """A forked process that scores the trailing share of each split step.
 
-    The main process keeps the first ``ceil(k/2)`` cases of a k-case batch
-    and encodes every chain set; the worker decodes the rest from copies of
-    the encoded rows and returns their gradients.  Parameters reach it
-    through one shared buffer, refreshed before every job, and its parameter
-    gradients come back through another; case indices, chain rows and counts
-    go out over a pipe, and loss terms and chain-row gradients come back.
+    It holds its own copy of the training split's (record, chain set)
+    pairs, so a job is only ``(chunk, keep, rng)``: the batch's case
+    indices, the number of leading cases the main process keeps, and a copy
+    of the dropout generator.  Parameters reach it through one shared
+    buffer, refreshed before every job, and its parameter gradients come
+    back through another; its loss terms come back over the pipe.
 
     While the worker lives, OpenBLAS runs on one thread in both processes.
     Its idle threads spin between calls, so with a pool in each process on a
     two-core machine a training ran three times slower than in one process.
     """
 
-    def __init__(self, model: Model, records: list[CaseRecord], cfg: TrainConfig):
+    def __init__(self, model: Model, pairs: list[tuple], cfg: TrainConfig):
         nbytes = 8 * sum(t.size for t in model.params.values())
         param_buffer, grad_buffer = mmap.mmap(-1, nbytes), mmap.mmap(-1, nbytes)
+        self.params = model.params
         self.param_views = _shared_views(param_buffer, model.params)
         self.grad_views = _shared_views(grad_buffer, model.params)
         context = multiprocessing.get_context("fork")
         self.conn, worker_end = context.Pipe()
         self.process = context.Process(
-            target=_serve, args=(worker_end, self.conn, model, records, cfg,
+            target=_serve, args=(worker_end, self.conn, model, pairs, cfg,
                                  param_buffer, grad_buffer), daemon=True)
         self.process.start()
         worker_end.close()
@@ -239,48 +261,15 @@ class _Worker:
             self.blas_threads = self.blas[0]()
             self.blas[1](1)
 
-    def step(self, chunk, batch, model: Model, cfg: TrainConfig,
-             rng: np.random.Generator) -> tuple[dict[str, np.ndarray], tuple[float, ...]]:
-        """:func:`_serial_step` of a batch of two or more cases, split with the
-        worker.  The gradients add up in one order: this process's share, the
-        worker's share, then the encoder's."""
+    def send(self, job: tuple) -> None:
+        """Copy the current parameters to the worker and hand it ``job``."""
         for name, view in self.param_views.items():
-            view[...] = model.params[name].data
-        tape = Tape()
-        chains: list[tuple[Tensor, Tensor]] = []
+            view[...] = self.params[name].data
+        self.conn.send(job)
 
-        def hand_off(pairs, slots, token_count, mask_count):
-            keep = (len(batch) + 1) // 2
-            chains.extend(pairs)
-            tape.watch(*(leaf for _, leaf in pairs))
-            theirs = {slot for slot in slots[keep:] if slot is not None}
-            self.conn.send((chunk[keep:], slots[keep:],
-                            {slot: pairs[slot][0].data for slot in theirs},
-                            token_count, mask_count))
-            return keep
-
-        with tape:
-            tape.watch(*model.params.values())
-            mine = joint_loss(batch, model, cfg.alpha, cfg.beta, dropout_rate=cfg.dropout,
-                              rng=rng, hand_off=hand_off)
-            backward(tape, mine.total)
-            grads = {name: t.grad for name, t in model.params.items()}
-            terms, chain_grads = self._reply()
-            for name, g in self.grad_views.items():
-                grads[name] = grads[name] + g
-            if chains:
-                pulled = None
-                for slot, (rows, leaf) in enumerate(chains):
-                    g = leaf.grad if slot not in chain_grads else leaf.grad + chain_grads[slot]
-                    term = T.tsum(rows * Tensor(g))
-                    pulled = term if pulled is None else pulled + term
-                backward(tape, pulled)
-                for name, t in model.params.items():
-                    grads[name] = grads[name] + t.grad
-        values = (mine.total.item(), mine.reasoning.item(), mine.sentencing.item())
-        return grads, tuple(a + b for a, b in zip(values, terms))
-
-    def _reply(self):
+    def reply(self) -> tuple[float, ...]:
+        """The worker's loss terms for the job sent last; its gradients are
+        then in ``grad_views``."""
         try:
             reply = self.conn.recv()
         except EOFError:
@@ -300,7 +289,7 @@ class _Worker:
             self.blas[1](self.blas_threads)
 
 
-def _serve(conn, main_end, model: Model, records: list[CaseRecord], cfg: TrainConfig,
+def _serve(conn, main_end, model: Model, pairs: list[tuple], cfg: TrainConfig,
            param_buffer: mmap.mmap, grad_buffer: mmap.mmap) -> None:
     """The worker's loop: one reply per job until the pipe closes.  An error
     from the share (a too-long case, say) goes back as the reply."""
@@ -314,24 +303,13 @@ def _serve(conn, main_end, model: Model, records: list[CaseRecord], cfg: TrainCo
     grads = _shared_views(grad_buffer, model.params)
     while True:
         try:
-            indices, slots, rows, token_count, mask_count = conn.recv()
+            chunk, keep, rng = conn.recv()
         except EOFError:
             return
         try:
-            leaves = {slot: EncodedChainSet(Tensor(data, requires_grad=True))
-                      for slot, data in rows.items()}
-            cases = [(records[i], None if slot is None else leaves[slot])
-                     for i, slot in zip(indices, slots)]
-            targets = [case_target(record, model.table, cfg.beta) for record, _ in cases]
-            with Tape() as tape:
-                tape.watch(*model.params.values(), *(e.e_chain for e in leaves.values()))
-                losses = share_loss(cases, targets, model, cfg.alpha, cfg.beta,
-                                    token_count, mask_count)
-                backward(tape, losses.total)
-            for name, t in model.params.items():
-                grads[name][...] = t.grad
-            reply = ((losses.total.item(), losses.reasoning.item(), losses.sentencing.item()),
-                     {slot: e.e_chain.grad for slot, e in leaves.items()})
+            theirs, reply = _share([pairs[i] for i in chunk], slice(keep, None), model, cfg, rng)
+            for name, g in theirs.items():
+                grads[name][...] = g
         except Exception as exc:
             reply = exc
         try:
@@ -384,18 +362,21 @@ def train(split: CorpusSplit, library: Mapping[str, ChainSet], cfg: TrainConfig,
     chain_map = charge_chains(library, charges, cfg.use_chains)
     vocab = training_vocab(split.train, library)
     model = build_model(vocab, charges, cfg.model_config(), cfg.seed)
+    pairs = [(rec, chain_map[rec.charge]) for rec in split.train]
     worker = None
     if min(cfg.batch_size, len(split.train)) > 1:
-        worker = _Worker(model, split.train, cfg)
+        worker = _Worker(model, pairs, cfg)
     try:
-        return _train_epochs(split, chain_map, model, cfg, worker, checkpoint_path, log_path)
+        return _train_epochs(split, pairs, chain_map, model, cfg, worker, checkpoint_path,
+                             log_path)
     finally:
         if worker is not None:
             worker.close()
 
 
-def _train_epochs(split: CorpusSplit, chain_map: Mapping[str, ChainSet | None], model: Model,
-                  cfg: TrainConfig, worker: _Worker | None, checkpoint_path: str | Path | None,
+def _train_epochs(split: CorpusSplit, pairs: list[tuple],
+                  chain_map: Mapping[str, ChainSet | None], model: Model, cfg: TrainConfig,
+                  worker: _Worker | None, checkpoint_path: str | Path | None,
                   log_path: str | Path | None) -> TrainResult:
     adam = AdamState()
     dropout_rng = np.random.default_rng([cfg.seed, 101])
@@ -408,11 +389,7 @@ def _train_epochs(split: CorpusSplit, chain_map: Mapping[str, ChainSet | None], 
         weight = 0
         for step, start in enumerate(range(0, len(order), cfg.batch_size), start=1):
             chunk = order[start:start + cfg.batch_size]
-            batch = [(split.train[i], chain_map[split.train[i].charge]) for i in chunk]
-            if len(batch) == 1:
-                grads, terms = _serial_step(batch, model, cfg, dropout_rng)
-            else:
-                grads, terms = worker.step(chunk, batch, model, cfg, dropout_rng)
+            grads, terms = _step(chunk, pairs, model, cfg, dropout_rng, worker)
             norm = clip_gradients(grads, cfg.grad_clip)
             loss_value = terms[0]
             if not (math.isfinite(loss_value) and math.isfinite(norm)):

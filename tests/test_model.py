@@ -550,6 +550,36 @@ class TestJointLoss:
         with pytest.raises(ContractError):
             joint_loss([], model)
 
+    def test_scored_slices_add_up_to_the_whole_batch(self):
+        """Two slices that split a batch, each scored from the same generator
+        state, give the whole batch's loss terms and gradients: every call
+        counts and encodes the whole batch, so all draw the same dropout
+        masks.  A slice that selects no case is a ContractError."""
+        model, chains, cases = _fixture()
+        batch = [(cases[0], chains), (cases[1], None), (cases[1], chains),
+                 (cases[0], copy.deepcopy(chains))]
+
+        def terms_and_grads(scored, dropout_rate=0.1):
+            with Tape() as tape:
+                tape.watch(*model.params.values())
+                losses = joint_loss(batch, model, dropout_rate=dropout_rate,
+                                    rng=np.random.default_rng(3), scored=scored)
+                backward(tape, losses.total)
+            terms = [losses.total.item(), losses.reasoning.item(), losses.sentencing.item()]
+            return np.array(terms), {n: t.grad.copy() for n, t in model.params.items()}
+
+        whole, whole_grads = terms_and_grads(slice(None))
+        assert not np.array_equal(whole, terms_and_grads(slice(None), dropout_rate=0.0)[0])
+        for k in (1, 2, 3):
+            head, head_grads = terms_and_grads(slice(0, k))
+            tail, tail_grads = terms_and_grads(slice(k, None))
+            np.testing.assert_allclose(head + tail, whole, rtol=0, atol=1e-12)
+            for name, grad in whole_grads.items():
+                np.testing.assert_allclose(head_grads[name] + tail_grads[name], grad,
+                                           rtol=0, atol=1e-12, err_msg=name)
+        with pytest.raises(ContractError, match="selects no case"):
+            joint_loss(batch, model, scored=slice(2, 2))
+
     def test_gradients_flow_to_decoder_and_encoder(self):
         model, chains, cases = _fixture()
         with Tape() as tape:

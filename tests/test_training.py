@@ -2,6 +2,7 @@
 logging, checkpointing, memorization of a single case, the ablation harness,
 and the end-to-end finite-difference check."""
 
+import copy
 import csv
 import multiprocessing
 import os
@@ -16,8 +17,8 @@ import pytest
 
 from lexchain.chains import ChainSet, SentencingRange, chain_from_text, load_chain_library
 from lexchain.checkpoint import load_checkpoint
-from lexchain.cli import default_chains_dir
-from lexchain.corpus import CaseRecord, CorpusSplit, synthesize_corpus, split
+from lexchain.cli import CONFIG_ENV, default_chains_dir, main
+from lexchain.corpus import CaseRecord, CorpusSplit, save_jsonl, synthesize_corpus, split
 from lexchain import model as model_module
 from lexchain import training as training_module
 from lexchain.errors import CapacityError, ConfigurationError, ContractError, EvaluationError
@@ -479,6 +480,76 @@ class TestWorker:
             joint_loss([(cases[worker_share[-1]], library[long.charge])], built[0])
         assert str(raised.value) == str(alone.value)
 
+    def test_one_case_batch_runs_in_the_main_process_as_joint_loss(
+            self, driving_corpus, library, monkeypatch):
+        """Five cases at batch size 4 end each epoch in a one-case batch
+        while the worker lives.  That step sends the worker no job, and its
+        gradients, loss terms and generator state are those of
+        ``joint_loss`` over the batch, bit for bit."""
+        jobs = []
+        checked = []
+        send = training_module._Worker.send
+        step = training_module._step
+
+        def recording_send(worker, job):
+            jobs.append(len(job[0]))
+            return send(worker, job)
+
+        def checking_step(chunk, pairs, model, cfg, rng, worker):
+            if len(chunk) > 1:
+                return step(chunk, pairs, model, cfg, rng, worker)
+            want_rng = copy.deepcopy(rng)
+            grads, terms = step(chunk, pairs, model, cfg, rng, worker)
+            with Tape() as tape:
+                tape.watch(*model.params.values())
+                losses = joint_loss([pairs[i] for i in chunk], model, cfg.alpha, cfg.beta,
+                                    dropout_rate=cfg.dropout, rng=want_rng)
+                backward(tape, losses.total)
+            assert terms == (losses.total.item(), losses.reasoning.item(),
+                             losses.sentencing.item())
+            for name, t in model.params.items():
+                assert grads[name].tobytes() == t.grad.tobytes(), name
+            assert rng.bit_generator.state == want_rng.bit_generator.state
+            checked.append(worker.process.is_alive())
+            return grads, terms
+
+        monkeypatch.setattr(training_module._Worker, "send", recording_send)
+        monkeypatch.setattr(training_module, "_step", checking_step)
+        cases = list(driving_corpus)
+        assert len(cases) == 5
+        train(CorpusSplit(train=cases, test=[], seed=0), library,
+              _tiny_cfg(epochs=2, batch_size=4, dropout=0.1))
+        assert checked == [True, True]
+        assert jobs == [4, 4]
+
+    def test_a_worker_that_dies_in_its_share_ends_training(
+            self, driving_corpus, library, monkeypatch, tmp_path):
+        """A worker that exits inside its share makes ``train`` raise
+        ChildProcessError and leave no process behind; ``lexchain train``
+        then exits 3."""
+        main_pid = os.getpid()
+        share = training_module._share
+
+        def dying(*args):
+            if os.getpid() != main_pid:
+                os._exit(1)
+            return share(*args)
+
+        monkeypatch.setattr(training_module, "_share", dying)  # before the fork
+        with pytest.raises(ChildProcessError):
+            train(split(driving_corpus, 0.8, seed=0), library, _tiny_cfg(epochs=1))
+        assert multiprocessing.active_children() == []
+
+        monkeypatch.delenv(CONFIG_ENV, raising=False)
+        corpus = tmp_path / "corpus.jsonl"
+        save_jsonl(driving_corpus, corpus)
+        assert main(["train", "--corpus", str(corpus), "--chains", str(default_chains_dir()),
+                     "--checkpoint", str(tmp_path / "m.ckpt"), "--epochs", "1",
+                     "--batch-size", "2", "--d", "16", "--heads", "2", "--dec-heads", "2",
+                     "--layers", "1", "--context", "224"]) == 3
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_worker_exits_when_the_main_process_dies(self, tmp_path):
         """The worker holds no copy of the main process's pipe end, so the
         pipe closes when the main process dies without cleaning up, and the
@@ -487,7 +558,7 @@ class TestWorker:
             "import os, sys\n"
             "from lexchain.training import TrainConfig, _Worker, _gradcheck_fixture\n"
             "model, batch = _gradcheck_fixture(8, 2, 1, 0)\n"
-            "worker = _Worker(model, [case for case, _ in batch], TrainConfig())\n"
+            "worker = _Worker(model, batch, TrainConfig())\n"
             "print(worker.process.pid, flush=True)\n"
             "os._exit(0)\n"
         )
@@ -702,9 +773,10 @@ def test_two_share_step_matches_joint_loss(library, use_chains, dropout):
         backward(tape, losses.total)
     want = {name: t.grad for name, t in model.params.items()}
     split_rng = np.random.default_rng(7)
-    worker = training_module._Worker(model, [rec for rec, _ in batch], cfg)
+    worker = training_module._Worker(model, batch, cfg)
     try:
-        got, terms = worker.step(np.arange(len(batch)), batch, model, cfg, split_rng)
+        got, terms = training_module._step(np.arange(len(batch)), batch, model, cfg, split_rng,
+                                           worker)
     finally:
         worker.close()
     assert split_rng.random() == rng.random()
