@@ -34,7 +34,7 @@ from .errors import (ExtractionError, LexchainError, UsageError, ValidationError
                      parse_json, read_text)
 from .metrics import evaluate_outputs, screen_corpus
 from .model import decode_cases
-from .training import TrainConfig, charge_chains, gradcheck_full_pipeline, train
+from .training import TrainConfig, charge_chains, gradcheck_full_pipeline, one_blas_thread, train
 
 CONFIG_ENV = "CHAIN_REASONER_CONFIG"
 
@@ -183,6 +183,7 @@ def cmd_train(args) -> int:
     return 0
 
 
+@one_blas_thread()
 def cmd_generate(args) -> int:
     model, extra = load_checkpoint(args.checkpoint)
     records = load_jsonl(args.corpus)
@@ -234,6 +235,7 @@ def cmd_screen(args) -> int:
     return 0
 
 
+@one_blas_thread()
 def cmd_gradcheck(args) -> int:
     err, scalars = gradcheck_full_pipeline(seed=args.seed, d=args.d, heads=args.heads,
                                            layers=args.layers, eps=args.eps)

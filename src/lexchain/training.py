@@ -10,7 +10,8 @@ import math
 import mmap
 import multiprocessing
 import signal
-from dataclasses import dataclass, field, asdict
+from contextlib import contextmanager
+from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Mapping
 
@@ -75,50 +76,53 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    """Adam's moments over a flat parameter array, and two scratch rows."""
+
+    m: np.ndarray
+    v: np.ndarray
+    scratch: np.ndarray
     step: int = 0
 
 
-def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
-              state: AdamState, lr: float) -> None:
-    """Standard bias-corrected Adam update, applied in place."""
-    if set(grads) != set(params):
-        missing = sorted(set(params) - set(grads))
-        extra = sorted(set(grads) - set(params))
-        raise ContractError(f"gradient keys mismatch params: missing={missing}, extra={extra}")
+def _adam(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float, part: slice):
+    """Adam on ``params[part]`` in place, each element through the textbook's ops in order."""
+    p, g, m, v = params[part], grads[part], state.m[part], state.v[part]
+    a, b = state.scratch[:, part]
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=a), g, out=a)
+    np.multiply(lr, np.divide(m, 1.0 - ADAM_BETA1 ** state.step, out=a), out=a)
+    np.sqrt(np.divide(v, 1.0 - ADAM_BETA2 ** state.step, out=b), out=b)
+    b += ADAM_EPS
+    p -= np.divide(a, b, out=a)
+
+
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float,
+              worker: _Worker | None = None) -> None:
+    """Bias-corrected Adam on the flat ``params``, in place.  A ``worker``
+    updates the arena's second half meanwhile; this returns once it has."""
+    if not params.shape == grads.shape == state.m.shape == state.v.shape:
+        raise ContractError(f"{grads.size} gradients and {state.m.size}, {state.v.size} moments "
+                            f"for {params.size} parameters")
     state.step += 1
-    c1 = 1.0 - ADAM_BETA1 ** state.step
-    c2 = 1.0 - ADAM_BETA2 ** state.step
-    for name in sorted(params):
-        g = grads[name]
-        if name not in state.m:
-            state.m[name] = np.zeros_like(params[name].data)
-            state.v[name] = np.zeros_like(params[name].data)
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        update = lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-        params[name].data = params[name].data - update
+    if worker is None:
+        _adam(params, grads, state, lr, slice(None))
+        return
+    worker.conn.send(state.step)
+    _adam(params, grads, state, lr, slice(worker.arena.half))
+    worker.reply()
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so their global norm is at most ``max_norm``.
-
-    The squares are summed in name order, as :func:`adam_step` iterates, so
-    the norm does not depend on the order of ``grads``.
-    """
+def clip_gradients(grads: np.ndarray, squares: list[float], max_norm: float) -> float:
+    """Scale the flat ``grads`` in place to a norm of at most ``max_norm``; return the norm
+    before.  ``squares`` (per tensor, name order) add one by one (``sum`` compensates on 3.12)."""
     total = 0.0
-    for name in sorted(grads):
-        total += float(np.sum(grads[name] * grads[name]))
+    for square in squares:
+        total += square
     norm = math.sqrt(total)
     if max_norm > 0 and norm > max_norm:
-        factor = max_norm / norm
-        for name in grads:
-            grads[name] = grads[name] * factor
+        grads *= max_norm / norm
     return norm
 
 
@@ -164,50 +168,70 @@ class TrainResult:
     config: TrainConfig
 
 
-def _share(batch, scored: slice, model: Model, cfg: TrainConfig,
-           rng: np.random.Generator) -> tuple[dict[str, np.ndarray], tuple[float, ...]]:
-    """The parameter gradients and (total, reasoning, sentencing) loss values
-    of :func:`joint_loss` over ``batch[scored]``: one tape, one sweep."""
+def _share(batch, scored: slice, model: Model, cfg: TrainConfig, rng: np.random.Generator,
+           grads: np.ndarray) -> tuple[float, ...]:
+    """The (total, reasoning, sentencing) loss of :func:`joint_loss` over
+    ``batch[scored]``, one tape and sweep; gradients go into the flat ``grads``."""
     with Tape() as tape:
         tape.watch(*model.params.values())
         losses = joint_loss(batch, model, cfg.alpha, cfg.beta, dropout_rate=cfg.dropout, rng=rng,
                             scored=scored)
         backward(tape, losses.total)
-    grads = {name: t.grad for name, t in model.params.items()}
-    return grads, (losses.total.item(), losses.reasoning.item(), losses.sentencing.item())
+    np.concatenate([model.params[name].grad.ravel() for name in sorted(model.params)], out=grads)
+    return losses.total.item(), losses.reasoning.item(), losses.sentencing.item()
 
 
 def _step(chunk, pairs: list[tuple], model: Model, cfg: TrainConfig, rng: np.random.Generator,
-          worker: _Worker | None) -> tuple[dict[str, np.ndarray], tuple[float, ...]]:
-    """One batch's parameter gradients and loss values: the cases ``chunk``
-    of ``pairs``.  With a worker, a batch of k >= 2 cases is split: the
-    worker scores the last ``k - ceil(k/2)`` from a copy of ``rng`` taken
-    before this process scores the rest, so both encode every chain set
-    with the same dropout draws.  The gradients add up in one order: this
-    process's share, then the worker's.  Otherwise this process scores the
-    whole batch."""
+          arena: _Arena, worker: _Worker | None) -> tuple[list[float], tuple[float, ...]]:
+    """Each tensor's sum of squared gradients and the loss values of ``chunk``'s cases; the
+    gradients go to ``arena.grads``.  A worker scores the last ``k - ceil(k/2)`` cases from
+    ``rng``'s state, then each process adds ``mine + theirs`` over its half."""
     batch = [pairs[i] for i in chunk]
-    keep = len(batch) if worker is None or len(batch) == 1 else (len(batch) + 1) // 2
-    if keep < len(batch):
-        worker.send((chunk, keep, rng))
-    grads, terms = _share(batch, slice(keep), model, cfg, rng)
-    if keep < len(batch):
-        theirs = worker.reply()
-        for name, g in worker.grad_views.items():
-            grads[name] = grads[name] + g
-        terms = tuple(a + b for a, b in zip(terms, theirs))
-    return grads, terms
+    if worker is None:
+        terms = _share(batch, slice(None), model, cfg, rng, arena.grads)
+        return arena.squares(), terms
+    keep = (len(batch) + 1) // 2
+    worker.conn.send((chunk.tolist(), keep, rng.bit_generator.state))
+    terms = _share(batch, slice(keep), model, cfg, rng, arena.grads)
+    worker.conn.send(None)  # this process's gradients are in place
+    theirs = worker.reply()
+    squares = arena.add_half(0)  # while the worker adds the other half
+    return squares + worker.reply(), tuple(a + b for a, b in zip(terms, theirs))
 
 
-def _shared_views(buffer: mmap.mmap, params: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
-    """One array per parameter, in ``params`` order, laid end to end over ``buffer``."""
-    flat = np.frombuffer(buffer, dtype=np.float64)
-    views = {}
-    offset = 0
-    for name, t in params.items():
-        views[name] = flat[offset:offset + t.size].reshape(t.shape)
-        offset += t.size
-    return views
+class _Arena:
+    """Shared memory, mapped before the fork, for the parameters (which stay
+    views of it), each process's gradients and Adam's state, in name order.
+    Split at the tensor boundary nearest the middle, into halves that the
+    main process and the worker each reduce and update."""
+
+    def __init__(self, params: Mapping[str, Tensor]):
+        names = sorted(params)
+        ends = np.cumsum([params[name].size for name in names])
+        # Two maps: the parameters outlive training, the working rows do not.
+        self.params = np.frombuffer(mmap.mmap(-1, 8 * int(ends[-1])))
+        work = np.frombuffer(mmap.mmap(-1, 40 * int(ends[-1]))).reshape(5, -1)
+        # Once added, the worker's gradients are scratch for squares and Adam.
+        self.grads, self.theirs, _, m, v = work
+        self.adam = AdamState(m, v, work[1:3])
+        cut = int(np.argmin(np.abs(ends - ends[-1] / 2))) + 1
+        self.half = int(ends[cut - 1])
+        self.halves = ((slice(self.half), slice(cut)), (slice(self.half, None), slice(cut, None)))
+        np.concatenate([params[name].data.ravel() for name in names], out=self.params)
+        for name, view in zip(names, np.split(self.params, ends[:-1])):
+            params[name].data = view.reshape(params[name].shape)
+        self.spent = np.split(self.theirs, ends[:-1])  # one view per tensor
+
+    def squares(self, scalars: slice = slice(None), tensors: slice = slice(None)) -> list[float]:
+        """The sums of squared gradients of ``tensors``, which span ``scalars``."""
+        np.multiply(self.grads[scalars], self.grads[scalars], out=self.theirs[scalars])
+        return [float(np.sum(square)) for square in self.spent[tensors]]
+
+    def add_half(self, half: int) -> list[float]:
+        """Add the worker's gradients over ``half`` (0 or 1); its :meth:`squares`."""
+        scalars, tensors = self.halves[half]
+        self.grads[scalars] += self.theirs[scalars]
+        return self.squares(scalars, tensors)
 
 
 def _openblas_threads():
@@ -228,52 +252,38 @@ def _openblas_threads():
     return None
 
 
+@contextmanager
+def one_blas_thread():
+    """Hold OpenBLAS (if loaded) to one thread in the block and in processes
+    forked in it, then restore the caller's count.  Its idle threads spin: a
+    pool in each of two processes on two cores made training 3x slower."""
+    get, put = _openblas_threads() or (lambda: None, lambda threads: None)
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
 class _Worker:
-    """A forked process that scores the trailing share of each split step.
+    """A forked process that scores the trailing share of each split step
+    and updates the arena's second half.  Messages: the job, main's
+    gradients are in place, the worker's loss terms, its sums of squares,
+    the Adam step (once the step is finite), and the worker's update done."""
 
-    It holds its own copy of the training split's (record, chain set)
-    pairs, so a job is only ``(chunk, keep, rng)``: the batch's case
-    indices, the number of leading cases the main process keeps, and a copy
-    of the dropout generator.  Parameters reach it through one shared
-    buffer, refreshed before every job, and its parameter gradients come
-    back through another; its loss terms come back over the pipe.
-
-    While the worker lives, OpenBLAS runs on one thread in both processes.
-    Its idle threads spin between calls, so with a pool in each process on a
-    two-core machine a training ran three times slower than in one process.
-    """
-
-    def __init__(self, model: Model, pairs: list[tuple], cfg: TrainConfig):
-        nbytes = 8 * sum(t.size for t in model.params.values())
-        param_buffer, grad_buffer = mmap.mmap(-1, nbytes), mmap.mmap(-1, nbytes)
-        self.params = model.params
-        self.param_views = _shared_views(param_buffer, model.params)
-        self.grad_views = _shared_views(grad_buffer, model.params)
+    def __init__(self, arena: _Arena, model: Model, pairs: list[tuple], cfg: TrainConfig):
+        self.arena = arena
         context = multiprocessing.get_context("fork")
         self.conn, worker_end = context.Pipe()
         self.process = context.Process(
-            target=_serve, args=(worker_end, self.conn, model, pairs, cfg,
-                                 param_buffer, grad_buffer), daemon=True)
+            target=_serve, args=(worker_end, self.conn, arena, model, pairs, cfg), daemon=True)
         self.process.start()
         worker_end.close()
-        self.blas = _openblas_threads()
-        if self.blas is not None:
-            self.blas_threads = self.blas[0]()
-            self.blas[1](1)
 
-    def send(self, job: tuple) -> None:
-        """Copy the current parameters to the worker and hand it ``job``."""
-        for name, view in self.param_views.items():
-            view[...] = self.params[name].data
-        self.conn.send(job)
-
-    def reply(self) -> tuple[float, ...]:
-        """The worker's loss terms for the job sent last; its gradients are
-        then in ``grad_views``."""
-        try:
-            reply = self.conn.recv()
-        except EOFError:
-            raise ChildProcessError("the training worker exited during a step") from None
+    def reply(self):
+        """The worker's answer to the message sent last."""
+        reply = self.conn.recv()
         if isinstance(reply, Exception):
             raise reply
         return reply
@@ -285,37 +295,31 @@ class _Worker:
         if self.process.is_alive():
             self.process.terminate()
             self.process.join()
-        if self.blas is not None:
-            self.blas[1](self.blas_threads)
 
 
-def _serve(conn, main_end, model: Model, pairs: list[tuple], cfg: TrainConfig,
-           param_buffer: mmap.mmap, grad_buffer: mmap.mmap) -> None:
-    """The worker's loop: one reply per job until the pipe closes.  An error
-    from the share (a too-long case, say) goes back as the reply."""
+def _serve(conn, main_end, arena: _Arena, model: Model, pairs: list[tuple],
+           cfg: TrainConfig) -> None:
+    """The worker's loop until the pipe closes; a share's error (a too-long
+    case, say) is the reply.  A caller may wrap :func:`adam_step`, so not it."""
     main_end.close()  # so that the main process's exit closes the pipe
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process decides when to stop
-    blas = _openblas_threads()
-    if blas is not None:
-        blas[1](1)
-    for name, view in _shared_views(param_buffer, model.params).items():
-        model.params[name].data = view
-    grads = _shared_views(grad_buffer, model.params)
-    while True:
-        try:
-            chunk, keep, rng = conn.recv()
-        except EOFError:
-            return
-        try:
-            theirs, reply = _share([pairs[i] for i in chunk], slice(keep, None), model, cfg, rng)
-            for name, g in theirs.items():
-                grads[name][...] = g
-        except Exception as exc:
-            reply = exc
-        try:
+    rng = np.random.default_rng(0)  # each job sets its state
+    try:
+        while True:
+            chunk, keep, rng.bit_generator.state = conn.recv()
+            try:
+                reply = _share([pairs[i] for i in chunk], slice(keep, None), model, cfg, rng,
+                               arena.theirs)
+            except Exception as exc:
+                reply = exc
             conn.send(reply)
-        except OSError:
-            return
+            conn.recv()  # the main process's gradients are in place
+            conn.send(arena.add_half(1))
+            arena.adam.step = conn.recv()  # after an error, the pipe closes instead
+            _adam(arena.params, arena.grads, arena.adam, cfg.lr, arena.halves[1][0])
+            conn.send(None)
+    except (EOFError, OSError):
+        return
 
 
 def _write_log(path: str | Path, rows: list[dict]) -> None:
@@ -341,6 +345,7 @@ def heldout_predictions(model: Model, records: list[CaseRecord],
     return {rec.case_id: out.text for rec, out in zip(records, outputs)}
 
 
+@one_blas_thread()
 def train(split: CorpusSplit, library: Mapping[str, ChainSet], cfg: TrainConfig,
           checkpoint_path: str | Path | None = None,
           log_path: str | Path | None = None) -> TrainResult:
@@ -362,64 +367,57 @@ def train(split: CorpusSplit, library: Mapping[str, ChainSet], cfg: TrainConfig,
     chain_map = charge_chains(library, charges, cfg.use_chains)
     vocab = training_vocab(split.train, library)
     model = build_model(vocab, charges, cfg.model_config(), cfg.seed)
+    arena = _Arena(model.params)
     pairs = [(rec, chain_map[rec.charge]) for rec in split.train]
-    worker = None
-    if min(cfg.batch_size, len(split.train)) > 1:
-        worker = _Worker(model, pairs, cfg)
+    worker = _Worker(arena, model, pairs, cfg) if min(cfg.batch_size, len(pairs)) > 1 else None
     try:
-        return _train_epochs(split, pairs, chain_map, model, cfg, worker, checkpoint_path,
-                             log_path)
+        dropout_rng = np.random.default_rng([cfg.seed, 101])
+        golds = [rec.sentence_months for rec in split.test]
+        log_rows: list[dict] = []
+        for epoch in range(1, cfg.epochs + 1):
+            order_rng = np.random.default_rng([cfg.seed, 202, epoch])
+            order = order_rng.permutation(len(split.train))
+            sums = {"loss_total": 0.0, "loss_reasoning": 0.0, "loss_sentencing": 0.0}
+            weight = 0
+            for step, start in enumerate(range(0, len(order), cfg.batch_size), start=1):
+                chunk = order[start:start + cfg.batch_size]
+                peer = worker if len(chunk) > 1 else None  # a one-case batch stays here
+                squares, terms = _step(chunk, pairs, model, cfg, dropout_rng, arena, peer)
+                norm = clip_gradients(arena.grads, squares, cfg.grad_clip)
+                loss_value = terms[0]
+                if not (math.isfinite(loss_value) and math.isfinite(norm)):
+                    raise EvaluationError(f"epoch {epoch}, step {step}: loss {loss_value} or "
+                                          f"gradient norm {norm} is not finite")
+                adam_step(arena.params, arena.grads, arena.adam, cfg.lr, peer)
+                for key, value in zip(sums, terms):
+                    sums[key] += value * len(chunk)
+                weight += len(chunk)
+            row = {
+                "epoch": epoch,
+                "loss_total": sums["loss_total"] / weight,
+                "loss_reasoning": sums["loss_reasoning"] / weight,
+                "loss_sentencing": sums["loss_sentencing"] / weight,
+                "heldout_mae": None,
+                "heldout_rmse": None,
+            }
+            if split.test and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
+                opinions = heldout_predictions(model, split.test, chain_map, cfg.max_gen_len)
+                preds = [extract_sentence_months(opinions[rec.case_id]) for rec in split.test]
+                mae, rmse = mae_rmse(preds, golds)
+                row["heldout_mae"] = mae
+                row["heldout_rmse"] = rmse
+            log_rows.append(row)
+            if checkpoint_path is not None:
+                save_checkpoint(checkpoint_path, model,
+                                extra={"train_config": cfg.to_dict(), "epoch": epoch})
+            if log_path is not None:
+                _write_log(log_path, log_rows)
+        return TrainResult(model=model, log_rows=log_rows, config=cfg)
+    except (BrokenPipeError, EOFError):  # the worker's end of the pipe closed
+        raise ChildProcessError("the training worker exited during a step") from None
     finally:
         if worker is not None:
             worker.close()
-
-
-def _train_epochs(split: CorpusSplit, pairs: list[tuple],
-                  chain_map: Mapping[str, ChainSet | None], model: Model, cfg: TrainConfig,
-                  worker: _Worker | None, checkpoint_path: str | Path | None,
-                  log_path: str | Path | None) -> TrainResult:
-    adam = AdamState()
-    dropout_rng = np.random.default_rng([cfg.seed, 101])
-    golds = [rec.sentence_months for rec in split.test]
-    log_rows: list[dict] = []
-    for epoch in range(1, cfg.epochs + 1):
-        order_rng = np.random.default_rng([cfg.seed, 202, epoch])
-        order = order_rng.permutation(len(split.train))
-        sums = {"loss_total": 0.0, "loss_reasoning": 0.0, "loss_sentencing": 0.0}
-        weight = 0
-        for step, start in enumerate(range(0, len(order), cfg.batch_size), start=1):
-            chunk = order[start:start + cfg.batch_size]
-            grads, terms = _step(chunk, pairs, model, cfg, dropout_rng, worker)
-            norm = clip_gradients(grads, cfg.grad_clip)
-            loss_value = terms[0]
-            if not (math.isfinite(loss_value) and math.isfinite(norm)):
-                raise EvaluationError(f"epoch {epoch}, step {step}: loss {loss_value} or "
-                                      f"gradient norm {norm} is not finite")
-            adam_step(model.params, grads, adam, cfg.lr)
-            for key, value in zip(sums, terms):
-                sums[key] += value * len(chunk)
-            weight += len(chunk)
-        row = {
-            "epoch": epoch,
-            "loss_total": sums["loss_total"] / weight,
-            "loss_reasoning": sums["loss_reasoning"] / weight,
-            "loss_sentencing": sums["loss_sentencing"] / weight,
-            "heldout_mae": None,
-            "heldout_rmse": None,
-        }
-        if split.test and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
-            opinions = heldout_predictions(model, split.test, chain_map, cfg.max_gen_len)
-            preds = [extract_sentence_months(opinions[rec.case_id]) for rec in split.test]
-            mae, rmse = mae_rmse(preds, golds)
-            row["heldout_mae"] = mae
-            row["heldout_rmse"] = rmse
-        log_rows.append(row)
-        if checkpoint_path is not None:
-            save_checkpoint(checkpoint_path, model,
-                            extra={"train_config": cfg.to_dict(), "epoch": epoch})
-        if log_path is not None:
-            _write_log(log_path, log_rows)
-    return TrainResult(model=model, log_rows=log_rows, config=cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -658,6 +658,40 @@ class TestScreen:
         assert report["sentencing_accuracy"] == 100.0
 
 
+@pytest.mark.parametrize("command, runs", [
+    (["generate", "--max-len", "10"], "decode_cases"),
+    (["gradcheck", "--d", "4", "--heads", "1", "--layers", "1"], "gradcheck_full_pipeline"),
+])
+def test_openblas_runs_on_one_thread_inside_the_command(workspace, monkeypatch, capsys, command,
+                                                        runs):
+    """``lexchain generate`` decodes, and ``lexchain gradcheck`` checks, with
+    OpenBLAS on one thread, and the caller's thread count is back after."""
+    from lexchain import cli, training
+    blas = training._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy is not linked to OpenBLAS")
+    seen = []
+    original = getattr(cli, runs)
+
+    def recording(*args, **kwargs):
+        seen.append(blas[0]())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, runs, recording)
+    if command[0] == "generate":
+        command = command + ["--checkpoint", str(workspace["checkpoint"]),
+                             "--corpus", str(workspace["corpus"]),
+                             "--chains", str(workspace["chains"])]
+    before = blas[0]()
+    blas[1](2)
+    try:
+        assert main(command) == 0
+        assert seen == [1]
+        assert blas[0]() == 2
+    finally:
+        blas[1](before)
+
+
 class TestGradcheck:
     def test_small_check_passes(self, capsys):
         assert main(["gradcheck", "--d", "8", "--heads", "2", "--layers", "1"]) == 0

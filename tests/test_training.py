@@ -4,6 +4,7 @@ and the end-to-end finite-difference check."""
 
 import copy
 import csv
+import math
 import multiprocessing
 import os
 import signal
@@ -85,76 +86,82 @@ class TestTrainConfig:
             _tiny_cfg(**bad)
 
 
+def _by_name(row, model):
+    """One array per parameter name over a flat arena row (name order)."""
+    names = sorted(model.params)
+    ends = np.cumsum([model.params[name].size for name in names])
+    return {name: part.reshape(model.params[name].shape)
+            for name, part in zip(names, np.split(row, ends[:-1]))}
+
+
+def _adam_state(size):
+    return AdamState(np.zeros(size), np.zeros(size), np.zeros((2, size)))
+
+
 class TestAdam:
-    """Bias-corrected Adam with in-place state updates."""
+    """Bias-corrected Adam over flat arrays, updated in place."""
 
     def test_first_step_moves_by_lr_times_sign(self):
-        params = {"w": Tensor(np.array([5.0, -3.0]))}
-        grads = {"w": np.array([2.0, -0.5])}
-        state = AdamState()
-        adam_step(params, grads, state, lr=0.1)
+        params = np.array([5.0, -3.0])
+        state = _adam_state(2)
+        adam_step(params, np.array([2.0, -0.5]), state, lr=0.1)
         # after one step the update collapses to lr * sign(g) up to eps
-        np.testing.assert_allclose(params["w"].data, [4.9, -2.9], atol=1e-6)
+        np.testing.assert_allclose(params, [4.9, -2.9], atol=1e-6)
         assert state.step == 1
 
     def test_zero_gradient_leaves_parameter_fixed(self):
-        params = {"w": Tensor(np.array([1.5]))}
-        state = AdamState()
-        adam_step(params, {"w": np.array([0.0])}, state, lr=0.1)
-        np.testing.assert_allclose(params["w"].data, [1.5])
+        params = np.array([1.5])
+        adam_step(params, np.array([0.0]), _adam_state(1), lr=0.1)
+        np.testing.assert_allclose(params, [1.5])
 
     def test_steps_are_deterministic(self):
         def run():
-            rng = np.random.default_rng(3)
-            params = {"w": Tensor(rng.normal(size=(4, 3))), "b": Tensor(rng.normal(size=3))}
-            state = AdamState()
+            params = np.random.default_rng(3).normal(size=15)
+            state = _adam_state(15)
             for step in range(5):
-                grads = {k: np.full_like(t.data, 0.1 * (step + 1)) for k, t in params.items()}
-                adam_step(params, grads, state, lr=1e-2)
-            return {k: t.data.copy() for k, t in params.items()}
+                adam_step(params, np.full(15, 0.1 * (step + 1)), state, lr=1e-2)
+            return params
 
-        first, second = run(), run()
-        for key in first:
-            np.testing.assert_array_equal(first[key], second[key])
+        assert run().tobytes() == run().tobytes()
 
     def test_state_tracks_moments_per_parameter(self):
-        params = {"w": Tensor(np.zeros((2, 2)))}
-        state = AdamState()
-        adam_step(params, {"w": np.ones((2, 2))}, state, lr=1e-3)
-        assert state.m["w"].shape == (2, 2)
-        assert state.v["w"].shape == (2, 2)
+        state = _adam_state(3)
+        adam_step(np.zeros(3), np.array([1.0, 0.0, -2.0]), state, lr=1e-3)
+        np.testing.assert_allclose(state.m, [0.1, 0.0, -0.2])
+        np.testing.assert_allclose(state.v, [0.001, 0.0, 0.004])
 
-    def test_key_mismatch_raises(self):
-        params = {"w": Tensor(np.zeros(2))}
-        state = AdamState()
-        with pytest.raises(ContractError, match="missing"):
-            adam_step(params, {}, state, lr=1e-3)
-        with pytest.raises(ContractError, match="extra"):
-            adam_step(params, {"w": np.zeros(2), "q": np.zeros(1)}, state, lr=1e-3)
+    def test_size_mismatch_raises(self):
+        params = np.zeros(2)
+        state = _adam_state(2)
+        with pytest.raises(ContractError, match="for 2 parameters"):
+            adam_step(params, np.zeros(3), state, lr=1e-3)
+        with pytest.raises(ContractError, match="for 2 parameters"):
+            adam_step(params, np.zeros(2), _adam_state(1), lr=1e-3)
+        assert state.step == 0
 
 
 class TestClipGradients:
-    """Global-norm clipping shared by every optimizer step."""
+    """Global-norm clipping shared by every optimizer step; the caller gives
+    each tensor's sum of squares."""
 
     def test_returns_preclip_norm_and_rescales(self):
-        grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-        norm = clip_gradients(grads, max_norm=1.0)
+        grads = np.array([3.0, 4.0])
+        norm = clip_gradients(grads, [9.0, 16.0], max_norm=1.0)
         assert norm == 5.0
-        clipped = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-        np.testing.assert_allclose(clipped, 1.0)
-        np.testing.assert_allclose(grads["a"], [0.6])
+        np.testing.assert_allclose(np.sqrt(np.sum(grads * grads)), 1.0)
+        np.testing.assert_allclose(grads, [0.6, 0.8])
 
     def test_small_gradients_untouched(self):
-        grads = {"a": np.array([0.3, 0.4])}
-        norm = clip_gradients(grads, max_norm=1.0)
+        grads = np.array([0.3, 0.4])
+        norm = clip_gradients(grads, [0.25], max_norm=1.0)
         np.testing.assert_allclose(norm, 0.5)
-        np.testing.assert_allclose(grads["a"], [0.3, 0.4])
+        np.testing.assert_allclose(grads, [0.3, 0.4])
 
     def test_nonpositive_max_norm_disables_clipping(self):
-        grads = {"a": np.array([30.0, 40.0])}
-        norm = clip_gradients(grads, max_norm=0.0)
+        grads = np.array([30.0, 40.0])
+        norm = clip_gradients(grads, [900.0, 1600.0], max_norm=0.0)
         assert norm == 50.0
-        np.testing.assert_allclose(grads["a"], [30.0, 40.0])
+        np.testing.assert_allclose(grads, [30.0, 40.0])
 
 
 class TestTrainingVocab:
@@ -336,12 +343,12 @@ class TestTrainLoop:
             built.append((model, {n: t.data.copy() for n, t in model.params.items()}))
             return model
 
-        def reported_norm(grads, max_norm):
-            norm = clip_gradients(grads, max_norm)
+        def reported_norm(grads, squares, max_norm):
+            norm = clip_gradients(grads, squares, max_norm)
             return {"nan_parameter": norm, "loss_only": 1.0, "norm_only": np.inf}[fault]
 
-        def recorded_adam_state():
-            states.append(AdamState())
+        def recorded_adam_state(*args):
+            states.append(AdamState(*args))
             return states[-1]
 
         monkeypatch.setattr(training_module, "build_model", model_under_test)
@@ -352,9 +359,9 @@ class TestTrainLoop:
             train(parts, library, _tiny_cfg(), checkpoint_path=ckpt)
         assert multiprocessing.active_children() == []
         (state,) = states
-        assert (state.step, state.m, state.v) == (0, {}, {})
+        assert state.step == 0 and not state.m.any() and not state.v.any()
         ((model, before),) = built
-        for name, t in model.params.items():
+        for name, t in model.params.items():  # both halves of the arena
             np.testing.assert_array_equal(t.data, before[name], err_msg=name)
         assert not ckpt.exists()
 
@@ -483,23 +490,18 @@ class TestWorker:
     def test_one_case_batch_runs_in_the_main_process_as_joint_loss(
             self, driving_corpus, library, monkeypatch):
         """Five cases at batch size 4 end each epoch in a one-case batch
-        while the worker lives.  That step sends the worker no job, and its
-        gradients, loss terms and generator state are those of
-        ``joint_loss`` over the batch, bit for bit."""
-        jobs = []
-        checked = []
-        send = training_module._Worker.send
+        while the worker lives.  That step is not split, and its gradients,
+        loss terms and generator state are those of ``joint_loss`` over the
+        batch, bit for bit."""
+        steps = []
         step = training_module._step
 
-        def recording_send(worker, job):
-            jobs.append(len(job[0]))
-            return send(worker, job)
-
-        def checking_step(chunk, pairs, model, cfg, rng, worker):
+        def checking_step(chunk, pairs, model, cfg, rng, arena, worker):
+            steps.append((len(chunk), worker is not None, len(multiprocessing.active_children())))
             if len(chunk) > 1:
-                return step(chunk, pairs, model, cfg, rng, worker)
+                return step(chunk, pairs, model, cfg, rng, arena, worker)
             want_rng = copy.deepcopy(rng)
-            grads, terms = step(chunk, pairs, model, cfg, rng, worker)
+            squares, terms = step(chunk, pairs, model, cfg, rng, arena, worker)
             with Tape() as tape:
                 tape.watch(*model.params.values())
                 losses = joint_loss([pairs[i] for i in chunk], model, cfg.alpha, cfg.beta,
@@ -507,35 +509,33 @@ class TestWorker:
                 backward(tape, losses.total)
             assert terms == (losses.total.item(), losses.reasoning.item(),
                              losses.sentencing.item())
-            for name, t in model.params.items():
-                assert grads[name].tobytes() == t.grad.tobytes(), name
+            for name, grad in _by_name(arena.grads, model).items():
+                assert grad.tobytes() == model.params[name].grad.tobytes(), name
+            assert squares == [float(np.sum(model.params[name].grad * model.params[name].grad))
+                               for name in sorted(model.params)]
             assert rng.bit_generator.state == want_rng.bit_generator.state
-            checked.append(worker.process.is_alive())
-            return grads, terms
+            return squares, terms
 
-        monkeypatch.setattr(training_module._Worker, "send", recording_send)
         monkeypatch.setattr(training_module, "_step", checking_step)
         cases = list(driving_corpus)
         assert len(cases) == 5
         train(CorpusSplit(train=cases, test=[], seed=0), library,
               _tiny_cfg(epochs=2, batch_size=4, dropout=0.1))
-        assert checked == [True, True]
-        assert jobs == [4, 4]
+        assert steps == [(4, True, 1), (1, False, 1)] * 2
 
-    def test_a_worker_that_dies_in_its_share_ends_training(
-            self, driving_corpus, library, monkeypatch, tmp_path):
-        """A worker that exits inside its share makes ``train`` raise
-        ChildProcessError and leave no process behind; ``lexchain train``
-        then exits 3."""
+    def _dies_in(self, name, driving_corpus, library, monkeypatch, tmp_path):
+        """Patch ``name`` before the fork so that only the worker exits in
+        it: ``train`` raises ChildProcessError and leaves no process behind,
+        and ``lexchain train`` exits 3."""
         main_pid = os.getpid()
-        share = training_module._share
+        original = getattr(training_module, name)
 
         def dying(*args):
             if os.getpid() != main_pid:
                 os._exit(1)
-            return share(*args)
+            return original(*args)
 
-        monkeypatch.setattr(training_module, "_share", dying)  # before the fork
+        monkeypatch.setattr(training_module, name, dying)
         with pytest.raises(ChildProcessError):
             train(split(driving_corpus, 0.8, seed=0), library, _tiny_cfg(epochs=1))
         assert multiprocessing.active_children() == []
@@ -550,15 +550,41 @@ class TestWorker:
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "m.ckpt").exists()
 
+    def test_a_worker_that_dies_in_its_share_ends_training(
+            self, driving_corpus, library, monkeypatch, tmp_path):
+        self._dies_in("_share", driving_corpus, library, monkeypatch, tmp_path)
+
+    def test_a_worker_that_dies_in_its_adam_half_ends_training(
+            self, driving_corpus, library, monkeypatch, tmp_path):
+        self._dies_in("_adam", driving_corpus, library, monkeypatch, tmp_path)
+
+    def test_parameters_stay_in_the_arena(self, driving_corpus, library, monkeypatch):
+        """``train`` moves the parameters into the shared arena before the
+        fork, and nothing rebinds them: the returned model's parameters are
+        views of the arena that both processes updated."""
+        arenas = []
+        arena_type = training_module._Arena
+
+        def recording(params):
+            arenas.append(arena_type(params))
+            return arenas[-1]
+
+        monkeypatch.setattr(training_module, "_Arena", recording)
+        result = train(split(driving_corpus, 0.8, seed=0), library, _tiny_cfg(epochs=1))
+        (arena,) = arenas
+        assert 0 < arena.half < arena.params.size
+        for name, t in result.model.params.items():
+            assert np.shares_memory(t.data, arena.params), name
+
     def test_worker_exits_when_the_main_process_dies(self, tmp_path):
         """The worker holds no copy of the main process's pipe end, so the
         pipe closes when the main process dies without cleaning up, and the
         worker exits."""
         script = (
             "import os, sys\n"
-            "from lexchain.training import TrainConfig, _Worker, _gradcheck_fixture\n"
+            "from lexchain.training import TrainConfig, _Arena, _Worker, _gradcheck_fixture\n"
             "model, batch = _gradcheck_fixture(8, 2, 1, 0)\n"
-            "worker = _Worker(model, batch, TrainConfig())\n"
+            "worker = _Worker(_Arena(model.params), model, batch, TrainConfig())\n"
             "print(worker.process.pid, flush=True)\n"
             "os._exit(0)\n"
         )
@@ -762,29 +788,107 @@ def test_two_share_step_matches_joint_loss(library, use_chains, dropout):
     draws the same dropout masks from the same generator state.  Only the
     order of the sums differs, so each gradient agrees to rtol 1e-12 with
     an absolute floor of 1e-12 of its largest entry (an entry summed from
-    terms that cancel can differ more in relative terms)."""
+    terms that cancel can differ more in relative terms).  The second step
+    follows an optimizer update of both halves, so the worker must score
+    from the live parameters."""
     model, batch = _acceptance_batch(library)
     batch = [(rec, chains if use_chains else None) for rec, chains in batch]
     cfg = TrainConfig(dropout=dropout)
     rng = np.random.default_rng(7)
-    with Tape() as tape:
-        tape.watch(*model.params.values())
-        losses = joint_loss(batch, model, cfg.alpha, cfg.beta, dropout_rate=dropout, rng=rng)
-        backward(tape, losses.total)
-    want = {name: t.grad for name, t in model.params.items()}
     split_rng = np.random.default_rng(7)
-    worker = training_module._Worker(model, batch, cfg)
+    arena = training_module._Arena(model.params)
+    worker = training_module._Worker(arena, model, batch, cfg)
     try:
-        got, terms = training_module._step(np.arange(len(batch)), batch, model, cfg, split_rng,
-                                           worker)
+        for _ in range(2):
+            with Tape() as tape:
+                tape.watch(*model.params.values())
+                losses = joint_loss(batch, model, cfg.alpha, cfg.beta, dropout_rate=dropout,
+                                    rng=rng)
+                backward(tape, losses.total)
+            want = {name: t.grad for name, t in model.params.items()}
+            squares, terms = training_module._step(np.arange(len(batch)), batch, model, cfg,
+                                                   split_rng, arena, worker)
+            assert split_rng.random() == rng.random()
+            np.testing.assert_allclose(
+                terms, [losses.total.item(), losses.reasoning.item(), losses.sentencing.item()],
+                rtol=1e-12)
+            got = _by_name(arena.grads, model)
+            assert sorted(got) == sorted(want)
+            for name, grad in want.items():
+                np.testing.assert_allclose(got[name], grad, rtol=1e-12,
+                                           atol=1e-12 * np.abs(grad).max(), err_msg=name)
+            assert squares == [float(np.sum(got[name] * got[name])) for name in sorted(got)]
+            assert (np.abs(want["enc.fusion.W"]).max() > 0) == use_chains
+            clip_gradients(arena.grads, squares, cfg.grad_clip)
+            adam_step(arena.params, arena.grads, arena.adam, cfg.lr, worker)
     finally:
         worker.close()
-    assert split_rng.random() == rng.random()
-    np.testing.assert_allclose(
-        terms, [losses.total.item(), losses.reasoning.item(), losses.sentencing.item()],
-        rtol=1e-12)
-    assert sorted(got) == sorted(want)
-    for name, grad in want.items():
-        np.testing.assert_allclose(got[name], grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max(),
-                                   err_msg=name)
-    assert (np.abs(want["enc.fusion.W"]).max() > 0) == use_chains
+
+
+def _per_name_clip(grads, max_norm):
+    """Clipping over one array per parameter name, as training clipped
+    before the flat arena: the reference for the flat path."""
+    total = 0.0
+    for name in sorted(grads):
+        total += float(np.sum(grads[name] * grads[name]))
+    norm = math.sqrt(total)
+    if max_norm > 0 and norm > max_norm:
+        factor = max_norm / norm
+        for name in grads:
+            grads[name] = grads[name] * factor
+    return norm
+
+
+def _per_name_adam(params, grads, m, v, step, lr):
+    """Adam over one array per parameter name, as training updated before
+    the flat arena: the reference for the flat path."""
+    c1 = 1.0 - training_module.ADAM_BETA1 ** step
+    c2 = 1.0 - training_module.ADAM_BETA2 ** step
+    for name in sorted(params):
+        g = grads[name]
+        m[name] *= training_module.ADAM_BETA1
+        m[name] += (1.0 - training_module.ADAM_BETA1) * g
+        v[name] *= training_module.ADAM_BETA2
+        v[name] += (1.0 - training_module.ADAM_BETA2) * g * g
+        update = lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + training_module.ADAM_EPS)
+        params[name] = params[name] - update
+
+
+def test_two_half_update_matches_the_per_name_update_bit_for_bit(library):
+    """Five split steps over the acceptance model, clipped and not, leave
+    the parameters the per-name reference reaches from the same two shares'
+    gradients (``mine + theirs``, then clip, then Adam), bit for bit."""
+    model, batch = _acceptance_batch(library)
+    cfg = TrainConfig(lr=3e-3, dropout=0.1)
+    want = {name: t.data.copy() for name, t in model.params.items()}
+    m = {name: np.zeros_like(p) for name, p in want.items()}
+    v = {name: np.zeros_like(p) for name, p in want.items()}
+    rng = np.random.default_rng(7)
+    clipped = []
+    with training_module.one_blas_thread():
+        arena = training_module._Arena(model.params)
+        worker = training_module._Worker(arena, model, batch, cfg)
+        try:
+            for step, max_norm in enumerate([1e-3, 1e9, 1.0, 0.0, 1e-3], start=1):
+                grads = {}
+                for scored in (slice(2), slice(2, None)):
+                    with Tape() as tape:
+                        tape.watch(*model.params.values())
+                        losses = joint_loss(batch, model, cfg.alpha, cfg.beta,
+                                            dropout_rate=cfg.dropout, rng=copy.deepcopy(rng),
+                                            scored=scored)
+                        backward(tape, losses.total)
+                    for name, t in model.params.items():
+                        grads[name] = grads[name] + t.grad if name in grads else t.grad
+                squares, _ = training_module._step(np.arange(len(batch)), batch, model, cfg, rng,
+                                                   arena, worker)
+                norm = clip_gradients(arena.grads, squares, max_norm)
+                assert norm == _per_name_clip(grads, max_norm)
+                clipped.append(max_norm > 0 and norm > max_norm)
+                adam_step(arena.params, arena.grads, arena.adam, cfg.lr, worker)
+                _per_name_adam(want, grads, m, v, step, cfg.lr)
+                for name, t in model.params.items():
+                    assert t.data.tobytes() == want[name].tobytes(), (step, name)
+        finally:
+            worker.close()
+    assert True in clipped and False in clipped
