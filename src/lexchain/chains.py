@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Mapping
 
-from .errors import (ContractError, ExtractionError, ParseError, ValidationError, parse_json,
-                     read_text)
+from .errors import (ConfigurationError, ContractError, ExtractionError, ParseError,
+                     ValidationError, parse_json, read_text)
 from .tokenizer import tokenize
 
 # ---------------------------------------------------------------------------
@@ -237,13 +238,7 @@ class LegalChain:
 
     def predicate_labels(self) -> list[str]:
         """Premise labels followed by situation labels (normalized, deduped)."""
-        labels = expr_labels(self.premise)
-        seen = set(labels)
-        for lab in expr_labels(self.situation):
-            if lab not in seen:
-                seen.add(lab)
-                labels.append(lab)
-        return labels
+        return expr_labels(Node("and", (self.premise, self.situation)))
 
 
 @dataclass
@@ -257,6 +252,18 @@ class ChainSet:
         lab = normalize_label(label)
         phrases = self.lexicon.get(lab)
         return list(phrases) if phrases else [lab]
+
+
+def charge_chains(library: Mapping[str, ChainSet], charges: list[str],
+                  use_chains: bool) -> dict[str, ChainSet | None]:
+    """Each charge's chain set from ``library`` (one ConfigurationError names every charge
+    without one), or None for every charge when ``use_chains`` is off (``library`` unread)."""
+    if not use_chains:
+        return dict.fromkeys(charges)
+    missing = [c for c in charges if c not in library]
+    if missing:
+        raise ConfigurationError(f"no chain sets for charges: {missing}")
+    return {c: library[c] for c in charges}
 
 
 def chain_from_text(premise_text: str, situation_text: str, conclusion: SentencingRange,
@@ -415,10 +422,7 @@ class ValidationReport:
         return {
             "charge": self.charge,
             "ok": self.ok,
-            "constraints": [
-                {"constraint": r.constraint, "status": r.status, "details": r.details}
-                for r in self.results
-            ],
+            "constraints": [asdict(r) for r in self.results],
         }
 
 

@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .chains import (
     build_extraction_prompt,
+    charge_chains,
     load_chain_library,
     parse_extraction_response,
     serialize_chain_set,
@@ -30,11 +31,11 @@ from .chains import (
 from .client import CompletionClient
 from .corpus import CaseRecord, load_jsonl, save_jsonl, split, synthesize_corpus
 from .checkpoint import load_checkpoint
-from .errors import (ExtractionError, LexchainError, UsageError, ValidationError,
+from .errors import (ContractError, ExtractionError, LexchainError, UsageError, ValidationError,
                      parse_json, read_text)
 from .metrics import evaluate_outputs, screen_corpus
 from .model import decode_cases
-from .training import TrainConfig, charge_chains, gradcheck_full_pipeline, one_blas_thread, train
+from .training import LOG_HEADER, TrainConfig, gradcheck_full_pipeline, one_blas_thread, train
 
 CONFIG_ENV = "CHAIN_REASONER_CONFIG"
 
@@ -174,8 +175,7 @@ def cmd_train(args) -> int:
         "config": cfg.to_dict(),
         "train_cases": len(parts.train),
         "test_cases": len(parts.test),
-        "final": {k: last[k] for k in ("epoch", "loss_total", "loss_reasoning",
-                                       "loss_sentencing", "heldout_mae", "heldout_rmse")},
+        "final": {k: last[k] for k in LOG_HEADER},
         "checkpoint": args.checkpoint,
         "log": args.log,
     }
@@ -187,6 +187,8 @@ def cmd_train(args) -> int:
 def cmd_generate(args) -> int:
     model, extra = load_checkpoint(args.checkpoint)
     records = load_jsonl(args.corpus)
+    if not records:
+        raise ContractError(f"corpus {args.corpus} holds no cases to decode")
     charges = sorted({r.charge for r in records})
     use_chains = not args.no_chains and _trained_with_chains(extra)
     library = load_chain_library(args.chains) if use_chains else {}

@@ -7,6 +7,8 @@ POST a JSON object ``{"prompt": ...}`` and expect ``{"text": ...}`` in return.
 
 from __future__ import annotations
 
+import math
+
 import requests
 
 from .errors import ContractError, EvaluationError
@@ -18,6 +20,9 @@ class CompletionClient:
     def __init__(self, endpoint: str, api_key: str | None = None, timeout: float = 30.0):
         if not endpoint or not endpoint.startswith(("http://", "https://")):
             raise ContractError(f"endpoint must be an http(s) URL, got {endpoint!r}")
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ContractError(f"timeout must be a positive, finite number of seconds, "
+                                f"got {timeout}")
         self.endpoint = endpoint
         self.api_key = api_key
         self.timeout = timeout

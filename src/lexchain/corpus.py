@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .chains import ChainSet, expr_labels
+from .chains import ChainSet, charge_chains, expr_labels
 from .errors import ContractError, ParseError, ValidationError, parse_json
 
 _MONTHS_FIGURE_RE = re.compile(r"\d+")
@@ -34,15 +34,10 @@ class CaseRecord:
     defendant: str
 
     def to_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "fact": self.fact,
-            "charge": self.charge,
-            "opinion": self.opinion,
-            "sentence_months": self.sentence_months,
-            "sentencing_span": list(self.sentencing_span) if self.sentencing_span else None,
-            "defendant": self.defendant,
-        }
+        row = asdict(self)
+        if self.sentencing_span is not None:
+            row["sentencing_span"] = list(self.sentencing_span)
+        return row
 
 
 @dataclass
@@ -340,12 +335,10 @@ def synthesize_corpus(seed: int, library: dict[str, ChainSet],
     charges = sorted(library) if charges is None else list(charges)
     if not charges:
         raise ContractError("no charges requested")
-    missing = [c for c in charges if c not in library]
-    if missing:
-        raise ContractError(f"charges missing from chain library: {missing}")
+    chain_sets = charge_chains(library, charges, use_chains=True)
     records: list[CaseRecord] = []
     for ci, charge in enumerate(charges):
-        cs = library[charge]
+        cs = chain_sets[charge]
         if not cs.chains:
             raise ValidationError(f"chain set for {charge!r} is empty")
         for j in range(cases_per_charge):

@@ -11,9 +11,9 @@ import math
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .chains import ChainSet, normalize_label
+from .chains import ChainSet, charge_chains, normalize_label
 from .errors import ContractError
 from .tokenizer import tokenize
 
@@ -70,6 +70,15 @@ def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
+def _ngram_overlap(cand: list[str], ref: list[str], n: int) -> tuple[int, int, int]:
+    """Clipped overlap of the order-``n`` n-grams of ``cand`` and ``ref``, and
+    each side's n-gram count."""
+    cand_counts = _ngrams(cand, n)
+    ref_counts = _ngrams(ref, n)
+    overlap = sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
+    return overlap, sum(cand_counts.values()), sum(ref_counts.values())
+
+
 def _lcs_len(a: list[str], b: list[str]) -> int:
     if not a or not b:
         return 0
@@ -98,11 +107,7 @@ def rouge(candidate: str, reference: str, variant: str) -> tuple[float, float, f
         return 0.0, 0.0, 0.0
     if variant == "L":
         return _prf(_lcs_len(cand, ref), len(cand), len(ref))
-    n = int(variant)
-    cand_counts = _ngrams(cand, n)
-    ref_counts = _ngrams(ref, n)
-    overlap = sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
-    return _prf(overlap, sum(cand_counts.values()), sum(ref_counts.values()))
+    return _prf(*_ngram_overlap(cand, ref, int(variant)))
 
 
 BLEU_ORDERS = 4
@@ -128,10 +133,7 @@ def bleu(candidate: str, reference: str) -> BleuResult:
     c, r = len(cand), len(ref)
     precisions = []
     for n in range(1, BLEU_ORDERS + 1):
-        cand_counts = _ngrams(cand, n)
-        ref_counts = _ngrams(ref, n)
-        total = sum(cand_counts.values())
-        overlap = sum(min(v, ref_counts[g]) for g, v in cand_counts.items())
+        overlap, total, _ = _ngram_overlap(cand, ref, n)
         precisions.append(overlap / total if total else 0.0)
     bp = 1.0 if c >= r and c > 0 else (math.exp(1.0 - r / c) if c else 0.0)
     scores = []
@@ -159,14 +161,7 @@ class CaseScreening:
     extracted_months: int | None
 
     def to_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "defendant_ok": self.defendant_ok,
-            "situation_ok": self.situation_ok,
-            "sentencing_ok": self.sentencing_ok,
-            "matched_chain": self.matched_chain,
-            "extracted_months": self.extracted_months,
-        }
+        return asdict(self)
 
 
 def screen_opinion(opinion: str, case, chains: ChainSet) -> CaseScreening:
@@ -216,12 +211,9 @@ def combined_score(defendant_acc: float, situation_acc: float, sentencing_acc: f
 
 def screen_corpus(cases, opinions: dict[str, str], library: dict[str, ChainSet]) -> dict:
     """Screen one opinion per case and aggregate corpus-level accuracies."""
-    per_case = []
-    for case in cases:
-        if case.charge not in library:
-            raise ContractError(f"no chain set for charge {case.charge!r}")
-        opinion = opinions[case.case_id]
-        per_case.append(screen_opinion(opinion, case, library[case.charge]))
+    chain_map = charge_chains(library, sorted({case.charge for case in cases}), use_chains=True)
+    per_case = [screen_opinion(opinions[case.case_id], case, chain_map[case.charge])
+                for case in cases]
     n = len(per_case)
     if n == 0:
         raise ContractError("no cases to screen")

@@ -12,7 +12,7 @@ positional embeddings indexed by their absolute row in the combined sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, MutableMapping, Sequence
 
 import numpy as np
@@ -45,8 +45,7 @@ class ModelConfig:
             raise ShapeError(f"dec_heads {self.dec_heads} must divide d {self.d}")
 
     def to_dict(self) -> dict:
-        return {"d": self.d, "enc_heads": self.enc_heads, "dec_heads": self.dec_heads,
-                "layers": self.layers, "context": self.context}
+        return asdict(self)
 
 
 class Model:
@@ -152,7 +151,7 @@ def combine(encoded: EncodedChainSet | None, fact_text: str, table: EmbeddingTab
     if not ids:
         raise ContractError("fact text produced no tokens")
     fact_rows = T.gather_rows(table.matrix, ids)
-    if encoded is None or encoded.n == 0:
+    if encoded is None:
         return fact_rows
     return T.concat([encoded.e_chain, fact_rows], axis=0)
 
@@ -163,8 +162,6 @@ def add_positions(x: Tensor, n_chain_rows: int, params: Mapping[str, Tensor],
     total = x.shape[0]
     if total > cfg.context:
         raise CapacityError(f"sequence of {total} rows exceeds context {cfg.context}")
-    if n_chain_rows >= total:
-        return x
     pos_rows = T.gather_rows(params["pos"], np.arange(n_chain_rows, total))
     if n_chain_rows:
         pos_rows = T.concat([Tensor(np.zeros((n_chain_rows, x.shape[1]))), pos_rows], axis=0)
@@ -243,8 +240,6 @@ class JointLoss:
     total: Tensor
     reasoning: Tensor
     sentencing: Tensor
-    token_count: int
-    mask_count: int
 
 
 def _case_target(record, table: EmbeddingTable,
@@ -258,10 +253,8 @@ def _case_target(record, table: EmbeddingTable,
         interval = span_to_token_interval(record.opinion, record.sentencing_span)
     if interval is None:
         interval = mark_sentencing_span(record.opinion)
-    if interval is None or interval[0] >= interval[1]:
-        if beta > 0:
-            raise ValidationError(f"case {record.case_id} has no sentencing span but beta > 0")
-        return target, None
+    if interval is None and beta > 0:
+        raise ValidationError(f"case {record.case_id} has no sentencing span but beta > 0")
     return target, interval
 
 
@@ -328,8 +321,7 @@ def joint_loss(batch: Sequence[tuple], model: Model, alpha: float = 1.0, beta: f
     else:
         sentencing = Tensor(0.0)
     total = alpha * reasoning + beta * sentencing
-    return JointLoss(total=total, reasoning=reasoning, sentencing=sentencing,
-                     token_count=token_count, mask_count=mask_count)
+    return JointLoss(total=total, reasoning=reasoning, sentencing=sentencing)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .chains import ChainSet, SentencingRange, chain_from_text
+from .chains import ChainSet, SentencingRange, chain_from_text, charge_chains
 from .checkpoint import save_checkpoint
 from .corpus import CaseRecord, CorpusSplit, NAME_POOL, generator_surface_texts
 from .encoder import build_vocab
-from .errors import ConfigurationError, ContractError, EvaluationError
+from .errors import ContractError, EvaluationError
 from .metrics import evaluate_outputs, extract_sentence_months, mae_rmse
 from .model import Model, ModelConfig, build_model, decode_cases, joint_loss
 from .tensor import Tape, Tensor, backward, grad_check
@@ -147,18 +147,6 @@ def training_vocab(train_records: list[CaseRecord], library: Mapping[str, ChainS
     for name in NAME_POOL:
         extra.update(name.split())
     return build_vocab(texts, extra)
-
-
-def charge_chains(library: Mapping[str, ChainSet], charges: list[str],
-                  use_chains: bool) -> dict[str, ChainSet | None]:
-    """Each charge's chain set from ``library``, or None for every charge when
-    ``use_chains`` is off (the library is then not read)."""
-    if not use_chains:
-        return dict.fromkeys(charges)
-    missing = [c for c in charges if c not in library]
-    if missing:
-        raise ConfigurationError(f"no chain sets for charges: {missing}")
-    return {c: library[c] for c in charges}
 
 
 @dataclass
@@ -327,14 +315,8 @@ def _write_log(path: str | Path, rows: list[dict]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(LOG_HEADER)
         for row in rows:
-            writer.writerow([
-                row["epoch"],
-                f"{row['loss_total']:.6f}",
-                f"{row['loss_reasoning']:.6f}",
-                f"{row['loss_sentencing']:.6f}",
-                f"{row['heldout_mae']:.6f}" if row["heldout_mae"] is not None else "",
-                f"{row['heldout_rmse']:.6f}" if row["heldout_rmse"] is not None else "",
-            ])
+            writer.writerow([row["epoch"]] + ["" if row[key] is None else f"{row[key]:.6f}"
+                                              for key in LOG_HEADER[1:]])
 
 
 def heldout_predictions(model: Model, records: list[CaseRecord],
@@ -378,7 +360,6 @@ def train(split: CorpusSplit, library: Mapping[str, ChainSet], cfg: TrainConfig,
             order_rng = np.random.default_rng([cfg.seed, 202, epoch])
             order = order_rng.permutation(len(split.train))
             sums = {"loss_total": 0.0, "loss_reasoning": 0.0, "loss_sentencing": 0.0}
-            weight = 0
             for step, start in enumerate(range(0, len(order), cfg.batch_size), start=1):
                 chunk = order[start:start + cfg.batch_size]
                 peer = worker if len(chunk) > 1 else None  # a one-case batch stays here
@@ -391,21 +372,12 @@ def train(split: CorpusSplit, library: Mapping[str, ChainSet], cfg: TrainConfig,
                 adam_step(arena.params, arena.grads, arena.adam, cfg.lr, peer)
                 for key, value in zip(sums, terms):
                     sums[key] += value * len(chunk)
-                weight += len(chunk)
-            row = {
-                "epoch": epoch,
-                "loss_total": sums["loss_total"] / weight,
-                "loss_reasoning": sums["loss_reasoning"] / weight,
-                "loss_sentencing": sums["loss_sentencing"] / weight,
-                "heldout_mae": None,
-                "heldout_rmse": None,
-            }
+            row = {"epoch": epoch, **{key: value / len(order) for key, value in sums.items()},
+                   "heldout_mae": None, "heldout_rmse": None}
             if split.test and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
                 opinions = heldout_predictions(model, split.test, chain_map, cfg.max_gen_len)
                 preds = [extract_sentence_months(opinions[rec.case_id]) for rec in split.test]
-                mae, rmse = mae_rmse(preds, golds)
-                row["heldout_mae"] = mae
-                row["heldout_rmse"] = rmse
+                row["heldout_mae"], row["heldout_rmse"] = mae_rmse(preds, golds)
             log_rows.append(row)
             if checkpoint_path is not None:
                 save_checkpoint(checkpoint_path, model,

@@ -201,6 +201,28 @@ class TestExtractPrompt:
         assert chain_set.charge == "robbery"
         assert chain_set.chains[0].conclusion == SentencingRange(36, 120, "base")
 
+    @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_timeout_not_positive_and_finite_exits_two(self, tmp_path, monkeypatch, capsys,
+                                                       source, timeout):
+        """``requests`` refuses such a timeout with a ValueError or an
+        OverflowError, which used to end in a traceback.  The client refuses
+        it before any request, so the endpoint is never contacted."""
+        provision = tmp_path / "provision.txt"
+        provision.write_text("robbery provision", encoding="utf-8")
+        args = ["extract-prompt", "--charge", "robbery", "--provision-file", str(provision),
+                "--llm-endpoint", "http://127.0.0.1:9/v1"]
+        if source == "flag":
+            args += ["--timeout", timeout]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"timeout": timeout}), encoding="utf-8")
+            monkeypatch.setenv(CONFIG_ENV, str(config))
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: timeout must be a positive, finite number of seconds, " \
+                      f"got {float(timeout)}\n"
+
 
 class TestParseChains:
     def test_valid_response_becomes_chain_file(self, tmp_path):
@@ -441,6 +463,17 @@ class TestGenerate:
         assert main(["generate", "--checkpoint", str(workspace["checkpoint"]),
                      "--corpus", str(workspace["corpus"]), "--chains", str(other)]) == 2
         assert "dangerous_driving" in capsys.readouterr().err
+
+    def test_empty_corpus_exits_two(self, workspace, tmp_path, capsys):
+        """As train, evaluate and screen do; it used to print a lone newline
+        and exit 0."""
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        assert main(["generate", "--checkpoint", str(workspace["checkpoint"]),
+                     "--corpus", str(empty), "--chains", str(workspace["chains"])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: corpus {empty} holds no cases to decode\n"
 
     def test_missing_checkpoint_is_io_error(self, workspace):
         assert main(["generate", "--checkpoint", str(workspace["root"] / "none.ckpt"),

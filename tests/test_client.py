@@ -62,6 +62,11 @@ class TestConstruction:
         assert CompletionClient("http://h/x").endpoint == "http://h/x"
         assert CompletionClient("https://h/x").api_key is None
 
+    @pytest.mark.parametrize("timeout", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_timeout_not_positive_and_finite_rejected(self, timeout):
+        with pytest.raises(ContractError, match="timeout must be a positive, finite number"):
+            CompletionClient("http://127.0.0.1:9/closed", timeout=timeout)
+
     def test_empty_prompt_rejected_without_request(self):
         client = CompletionClient("http://127.0.0.1:1/unreachable")
         with pytest.raises(ContractError):

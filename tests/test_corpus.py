@@ -16,7 +16,7 @@ from lexchain.corpus import (
     split,
     synthesize_corpus,
 )
-from lexchain.errors import ContractError, ParseError, ValidationError
+from lexchain.errors import ConfigurationError, ContractError, ParseError, ValidationError
 from lexchain.metrics import extract_sentence_months, screen_corpus
 
 
@@ -79,7 +79,7 @@ class TestSynthesis:
         assert {rec.charge for rec in records} == {"robbery"}
 
     def test_unknown_charge_rejected(self, library):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigurationError, match=r"no chain sets for charges: \['piracy'\]"):
             synthesize_corpus(seed=0, library=library, charges=["piracy"])
 
     def test_empty_library_rejected(self):

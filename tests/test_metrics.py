@@ -10,7 +10,7 @@ import pytest
 from lexchain.chains import load_chain_library
 from lexchain.cli import default_chains_dir
 from lexchain.corpus import CaseRecord, synthesize_corpus
-from lexchain.errors import ContractError
+from lexchain.errors import ConfigurationError, ContractError
 from lexchain.metrics import (
     bleu,
     build_pairwise_prompt,
@@ -452,7 +452,7 @@ class TestScreenCorpus:
 
     def test_missing_charge_raises(self, robbery):
         cases = [_case(charge="theft")]
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigurationError, match=r"no chain sets for charges: \['theft'\]"):
             screen_corpus(cases, {"robbery-0000": "text"}, {"robbery": robbery})
 
     def test_empty_corpus_raises(self, robbery):

@@ -516,10 +516,15 @@ class TestJointLoss:
             opinion=record.opinion, sentence_months=record.sentence_months,
             sentencing_span=(start, start + len(clause)), defendant=record.defendant,
         )
+        months_only = CaseRecord(**{**vars(explicit), "sentencing_span": (start, start + 8)})
         a = joint_loss([(record, chains)], model)
         b = joint_loss([(explicit, chains)], model)
+        c = joint_loss([(months_only, chains)], model)
         np.testing.assert_allclose(a.total.item(), b.total.item(), atol=1e-12)
-        assert a.mask_count == b.mask_count
+        assert a.sentencing.item() == b.sentencing.item()
+        # A narrower explicit span ("7 months") averages over other tokens.
+        assert c.sentencing.item() != b.sentencing.item()
+        assert c.reasoning.item() == b.reasoning.item()
 
     def test_missing_span_with_positive_beta_raises(self):
         model, chains, _ = _fixture()
@@ -535,8 +540,8 @@ class TestJointLoss:
                          opinion="the court orders nothing", sentence_months=0,
                          sentencing_span=None, defendant="the man")
         losses = joint_loss([(bad, chains)], model, beta=0.0)
-        assert losses.mask_count == 0
         assert losses.sentencing.item() == 0.0
+        assert losses.total.item() == losses.reasoning.item()
 
     def test_invalid_weights_rejected(self):
         model, chains, cases = _fixture()

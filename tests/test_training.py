@@ -7,6 +7,7 @@ import csv
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -16,13 +17,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lexchain.chains import ChainSet, SentencingRange, chain_from_text, load_chain_library
-from lexchain.checkpoint import load_checkpoint
+from lexchain.chains import (ChainSet, SentencingRange, chain_from_text, charge_chains,
+                             load_chain_library, serialize_chain_set)
+from lexchain.checkpoint import load_checkpoint, save_checkpoint
 from lexchain.cli import CONFIG_ENV, default_chains_dir, main
 from lexchain.corpus import CaseRecord, CorpusSplit, save_jsonl, synthesize_corpus, split
 from lexchain import model as model_module
 from lexchain import training as training_module
+from lexchain.encoder import build_vocab
 from lexchain.errors import CapacityError, ConfigurationError, ContractError, EvaluationError
+from lexchain.metrics import screen_corpus
 from lexchain.model import ModelConfig, build_model, decode_case, decode_cases, joint_loss
 from lexchain import tensor as tensor_module
 from lexchain.tensor import Tape, Tensor, _record, backward
@@ -30,8 +34,8 @@ from lexchain.training import (
     LOG_HEADER,
     AdamState,
     TrainConfig,
+    TrainResult,
     adam_step,
-    charge_chains,
     clip_gradients,
     evaluate_heldout,
     gradcheck_full_pipeline,
@@ -670,6 +674,45 @@ class TestHeldoutEvaluation:
         assert charge_chains({}, charges, False) == {"robbery": None, "theft": None}
         with pytest.raises(ConfigurationError, match=r"charges: \['piracy'\]"):
             charge_chains(library, ["piracy", "theft"], True)
+
+    @pytest.mark.parametrize("path", ["train", "evaluate_heldout", "screen_corpus",
+                                      "synthesize_corpus", "lexchain generate", "lexchain screen"])
+    def test_every_path_names_every_charge_without_a_chain_set(self, library, tmp_path, capsys,
+                                                               path):
+        """Each path from a case's charge to its chain set goes through
+        ``charge_chains``: one ConfigurationError names both missing charges,
+        and the command line exits 2 with it."""
+        charges = ["fraud", "robbery", "theft"]
+        corpus = synthesize_corpus(seed=0, library=library, charges=charges, cases_per_charge=2)
+        parts = split(corpus, 0.5, seed=0)
+        only_robbery = {"robbery": library["robbery"]}
+        want = r"no chain sets for charges: \['fraud', 'theft'\]"
+        model = build_model(build_vocab([]), charges,
+                            ModelConfig(d=4, enc_heads=1, dec_heads=1, layers=1, context=8), 0)
+        if path.startswith("lexchain"):
+            chains_dir = tmp_path / "chains"
+            chains_dir.mkdir()
+            (chains_dir / "robbery.json").write_text(serialize_chain_set(library["robbery"]),
+                                                     encoding="utf-8")
+            save_jsonl(corpus, tmp_path / "corpus.jsonl")
+            save_checkpoint(tmp_path / "model.zip", model)
+            command = (["generate", "--checkpoint", str(tmp_path / "model.zip")]
+                       if path == "lexchain generate" else ["screen"])
+            assert main(command + ["--corpus", str(tmp_path / "corpus.jsonl"),
+                                   "--chains", str(chains_dir)]) == 2
+            assert re.search(want, capsys.readouterr().err)
+            return
+        calls = {
+            "train": lambda: train(parts, only_robbery, _tiny_cfg()),
+            "evaluate_heldout": lambda: evaluate_heldout(TrainResult(model, [], _tiny_cfg()),
+                                                         parts, only_robbery),
+            "screen_corpus": lambda: screen_corpus(
+                corpus, {rec.case_id: rec.opinion for rec in corpus}, only_robbery),
+            "synthesize_corpus": lambda: synthesize_corpus(seed=0, library=only_robbery,
+                                                           charges=charges),
+        }
+        with pytest.raises(ConfigurationError, match=want):
+            calls[path]()
 
     def test_evaluate_heldout_reports_metrics(self, driving_corpus, library):
         parts = split(driving_corpus, 0.8, seed=0)
