@@ -240,12 +240,21 @@ class LegalChain:
         """Premise labels followed by situation labels (normalized, deduped)."""
         return expr_labels(Node("and", (self.premise, self.situation)))
 
+    def shared_labels(self) -> list[str]:
+        """The labels premise and situation both use, sorted; semantic
+        separation wants none."""
+        return sorted(set(expr_labels(self.premise)) & set(expr_labels(self.situation)))
+
 
 @dataclass
 class ChainSet:
     charge: str
     chains: list[LegalChain]
     lexicon: dict[str, list[str]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not self.chains:
+            raise ValidationError(f"chain set for {self.charge!r} has no chains")
 
     def phrases_for(self, label: str) -> list[str]:
         """Surface phrases that realize a predicate; the label itself by default."""
@@ -303,8 +312,6 @@ def parse_chain_file(text: str) -> ChainSet:
     if not charge.strip():
         raise ParseError("charge must be non-empty", field="charge")
     raw_chains = _require(doc, "chains", list, "$")
-    if not raw_chains:
-        raise ValidationError(f"chain file for {charge!r} has an empty chains list")
     chains: list[LegalChain] = []
     for i, raw in enumerate(raw_chains):
         where = f"chains[{i}]"
@@ -317,13 +324,13 @@ def parse_chain_file(text: str) -> ChainSet:
         s_text = _require(situation, "text", str, f"{where}.situation")
         lo = _require(conclusion, "min_months", int, f"{where}.conclusion")
         hi = _require(conclusion, "max_months", int, f"{where}.conclusion")
-        if lo < 0 or hi < lo:
-            raise ValidationError(
-                f"conclusion range inverted or negative in {where}: min={lo}, max={hi}"
-            )
         label = conclusion.get("label", "")
         if not isinstance(label, str):
             raise ParseError("label must be a string", field=f"{where}.conclusion.label")
+        try:
+            sentencing = SentencingRange(lo, hi, label)
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
         source = raw.get("source_provision", "")
         if not isinstance(source, str):
             raise ParseError("source_provision must be a string", field=f"{where}.source_provision")
@@ -333,7 +340,7 @@ def parse_chain_file(text: str) -> ChainSet:
                 premise=expr_from_json(_require(premise, "expr", dict, f"{where}.premise"), f"{where}.premise.expr"),
                 situation_text=s_text,
                 situation=expr_from_json(_require(situation, "expr", dict, f"{where}.situation"), f"{where}.situation.expr"),
-                conclusion=SentencingRange(lo, hi, label),
+                conclusion=sentencing,
                 source_provision=source,
             )
         )
@@ -437,9 +444,9 @@ def validate_chain_set(cs: ChainSet) -> ValidationReport:
     separation: list[str] = []
     specificity: list[str] = []
     for i, chain in enumerate(cs.chains):
-        shared = set(expr_labels(chain.premise)) & set(expr_labels(chain.situation))
+        shared = chain.shared_labels()
         if shared:
-            separation.append(f"chain {i}: premise and situation share labels {sorted(shared)}")
+            separation.append(f"chain {i}: premise and situation share labels {shared}")
         for part, text in (("premise", chain.premise_text), ("situation", chain.situation_text)):
             hits = sorted({t for t in tokenize(text.casefold()) if t in PRONOUN_STOPLIST})
             if hits:
@@ -555,11 +562,9 @@ def parse_extraction_response(text: str, charge: str) -> tuple[ChainSet, list[st
         except (ParseError, ValidationError) as exc:
             diagnostics.append(f"chain block {idx}: {exc}")
             continue
-        shared = set(expr_labels(chain.premise)) & set(expr_labels(chain.situation))
+        shared = chain.shared_labels()
         if shared:
-            diagnostics.append(
-                f"chain block {idx}: premise and situation share labels {sorted(shared)}"
-            )
+            diagnostics.append(f"chain block {idx}: premise and situation share labels {shared}")
             continue
         chains.append(chain)
     if not chains:

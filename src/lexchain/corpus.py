@@ -339,8 +339,6 @@ def synthesize_corpus(seed: int, library: dict[str, ChainSet],
     records: list[CaseRecord] = []
     for ci, charge in enumerate(charges):
         cs = chain_sets[charge]
-        if not cs.chains:
-            raise ValidationError(f"chain set for {charge!r} is empty")
         for j in range(cases_per_charge):
             rng = np.random.default_rng([seed, ci, j])
             chain = cs.chains[int(rng.integers(len(cs.chains)))]

@@ -48,7 +48,13 @@ def build_vocab(texts: Iterable[str], extra_tokens: Iterable[str] = ()) -> dict[
 
 
 class EmbeddingTable:
-    """Token -> row-index vocabulary over a trainable V x d matrix."""
+    """Token -> row-index vocabulary over a trainable V x d matrix.
+
+    Each text is tokenized once per table: :meth:`encode` keeps its ids, and
+    ``targets`` holds :func:`model._case_target`'s result per (opinion,
+    sentencing span).  Both grow with the distinct texts the table has seen
+    and live as long as it does.
+    """
 
     def __init__(self, vocab: dict[str, int], matrix: Tensor):
         if matrix.ndim != 2:
@@ -62,10 +68,17 @@ class EmbeddingTable:
         self.id_to_token = [""] * len(vocab)
         for tok, i in vocab.items():
             self.id_to_token[i] = tok
+        self._ids: dict[str, tuple[int, ...]] = {}
+        self.targets: dict[tuple[str, tuple[int, int] | None],
+                           tuple[tuple[int, ...], tuple[int, int] | None]] = {}
 
     def encode(self, text: str) -> list[int]:
-        unk = self.vocab.get(UNK_TOKEN, UNK_ID)
-        return [self.vocab.get(tok, unk) for tok in tokenize(text)]
+        """The token ids of ``text``, as a fresh list."""
+        ids = self._ids.get(text)
+        if ids is None:
+            unk = self.vocab.get(UNK_TOKEN, UNK_ID)
+            ids = self._ids[text] = tuple(self.vocab.get(tok, unk) for tok in tokenize(text))
+        return list(ids)
 
     def decode(self, ids: Iterable[int]) -> list[str]:
         return [self.id_to_token[i] for i in ids]
@@ -222,8 +235,6 @@ def encode_chain_set(cs: ChainSet, table: EmbeddingTable, params: MutableMapping
                      rng: np.random.Generator | None = None) -> EncodedChainSet:
     """Encode every chain of a set in one pass, preserving chain order in the
     output rows."""
-    if not cs.chains:
-        raise ValidationError(f"chain set for {cs.charge!r} is empty; nothing to encode")
     r, _ = _encode_pooled(cs.chains, table, params, heads, dropout_rate, rng)
     t, _ = crime_transform(r, cs.charge, params, auto_register, dropout_rate, rng)
     return EncodedChainSet(e_chain=fuse(r, t, params))

@@ -173,8 +173,6 @@ def screen_opinion(opinion: str, case, chains: ChainSet) -> CaseScreening:
     sentencing verdict requires the extracted months to fall in the matched
     chain's range.
     """
-    if not chains.chains:
-        raise ContractError(f"no chains available for charge {chains.charge!r}")
     body = normalize_label(opinion)
     defendant_ok = normalize_label(case.defendant) in body if case.defendant else False
 

@@ -243,16 +243,21 @@ class JointLoss:
 
 
 def _case_target(record, table: EmbeddingTable,
-                 beta: float) -> tuple[list[int], tuple[int, int] | None]:
+                 beta: float) -> tuple[tuple[int, ...], tuple[int, int] | None]:
     """A case's target, the opinion's token ids followed by ``<eos>``, and the
     token interval of its sentencing clause (None when it has none, which
-    ``beta > 0`` rejects)."""
-    target = table.encode(record.opinion) + [table.vocab["<eos>"]]
-    interval = None
-    if record.sentencing_span is not None:
-        interval = span_to_token_interval(record.opinion, record.sentencing_span)
-    if interval is None:
-        interval = mark_sentencing_span(record.opinion)
+    ``beta > 0`` rejects).  Both are worked out once per table (``table.targets``)."""
+    key = (record.opinion, record.sentencing_span)
+    found = table.targets.get(key)
+    if found is None:
+        interval = None
+        if record.sentencing_span is not None:
+            interval = span_to_token_interval(record.opinion, record.sentencing_span)
+        if interval is None:
+            interval = mark_sentencing_span(record.opinion)
+        target = (*table.encode(record.opinion), table.vocab["<eos>"])
+        found = table.targets[key] = (target, interval)
+    target, interval = found
     if interval is None and beta > 0:
         raise ValidationError(f"case {record.case_id} has no sentencing span but beta > 0")
     return target, interval

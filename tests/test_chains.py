@@ -222,8 +222,17 @@ class TestChainFiles:
         with pytest.raises(ValidationError):
             parse_chain_file(json.dumps(doc))
 
+    def test_inverted_range_error_is_the_constructors_and_names_its_chain_once(self):
+        doc = json.loads(serialize_chain_set(_toy_chain_set()))
+        doc["chains"][0]["conclusion"].update(min_months=500, max_months=120)
+        with pytest.raises(ValidationError) as exc:
+            parse_chain_file(json.dumps(doc))
+        message = str(exc.value)
+        assert message.count("chains[0]") == 1
+        assert message.endswith("sentencing range [500, 120] is inverted or negative")
+
     def test_parse_rejects_empty_chain_list(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="chain set for 'x' has no chains"):
             parse_chain_file(json.dumps({"charge": "x", "chains": []}))
 
     def test_parse_rejects_non_json(self):
@@ -297,6 +306,8 @@ class TestValidation:
         report = validate_chain_set(cs)
         byname = {r.constraint: r for r in report.results}
         assert byname["Semantic separation"].status == "fail"
+        assert byname["Semantic separation"].details == [
+            "chain 0: premise and situation share labels ['used force']"]
         assert not report.ok
 
     def test_pronoun_fails_referential_specificity(self):
@@ -418,7 +429,7 @@ SOURCE: s
 """
         cs, diagnostics = parse_extraction_response(text, "x")
         assert len(cs.chains) == 1
-        assert "share labels" in diagnostics[0]
+        assert diagnostics == ["chain block 0: premise and situation share labels ['used force']"]
 
     def test_no_usable_blocks_raises(self):
         with pytest.raises(ExtractionError):
@@ -455,6 +466,16 @@ class TestChainTypes:
             "serious injury",
             "inside a residence",
         ]
+
+    def test_shared_labels_are_sorted_and_normalized(self):
+        chain = chain_from_text("Used  Force AND b AND a", "a OR (used force AND c) OR b",
+                                SentencingRange(1, 2))
+        assert chain.shared_labels() == ["a", "b", "used force"]
+        assert _toy_chain_set().chains[1].shared_labels() == []
+
+    def test_chain_set_needs_a_chain(self):
+        with pytest.raises(ValidationError, match="chain set for 'x' has no chains"):
+            ChainSet(charge="x", chains=[])
 
     def test_chain_from_text_requires_nonempty(self):
         with pytest.raises((ValidationError, ParseError)):

@@ -94,6 +94,28 @@ class TestVocab:
         with pytest.raises(ValidationError):
             EmbeddingTable(vocab, Tensor(np.zeros((2, 4))))
 
+    def test_warm_table_encodes_as_the_tokenizer_does(self):
+        vocab = build_vocab(["the court finds the man guilty."])
+        table = EmbeddingTable(vocab, Tensor(np.zeros((len(vocab), 4))))
+        text = "the court finds a stranger guilty, twice."
+        want = [vocab.get(tok, UNK_ID) for tok in tokenize(text)]
+        first = table.encode(text)
+        assert first == want
+        first.append(EOS_ID)
+        first[0] = PAD_ID
+        for _ in range(2):
+            again = table.encode(text)
+            assert again == want
+            again.clear()
+
+    def test_each_table_encodes_with_its_own_vocabulary(self):
+        text = "apple mango zebra"
+        tables = [EmbeddingTable(vocab, Tensor(np.zeros((len(vocab), 4))))
+                  for vocab in (build_vocab(["zebra apple mango"]), build_vocab(["mango kiwi"]))]
+        ids = [table.encode(text) for table in tables for _ in range(2)]
+        assert ids[0] == ids[1] == [3, 4, 5]
+        assert ids[2] == ids[3] == [UNK_ID, 4, UNK_ID]
+
 
 class TestEmbedComponent:
     def test_mean_of_rows(self):
@@ -387,8 +409,9 @@ class TestChainSetEncoding:
         np.testing.assert_array_equal(before, after)
 
     def test_empty_chain_set_rejected(self):
+        """An empty set cannot be built, so none reaches encoding."""
         _, model = _fixture()
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="chain set for 'x' has no chains"):
             encode_chain_set(ChainSet(charge="x", chains=[]), model.table,
                              model.params, 2)
 

@@ -10,7 +10,7 @@ import pytest
 from lexchain.chains import load_chain_library
 from lexchain.cli import default_chains_dir
 from lexchain.corpus import CaseRecord, synthesize_corpus
-from lexchain.errors import ConfigurationError, ContractError
+from lexchain.errors import ConfigurationError, ContractError, ValidationError
 from lexchain.metrics import (
     bleu,
     build_pairwise_prompt,
@@ -420,8 +420,9 @@ class TestScreening:
         assert not verdict.situation_ok
 
     def test_empty_chain_set_raises(self, robbery):
+        """An empty set cannot be built, so none reaches screening."""
         from lexchain.chains import ChainSet
-        with pytest.raises(ContractError):
+        with pytest.raises(ValidationError, match="chain set for 'robbery' has no chains"):
             screen_opinion("text", _case(), ChainSet(charge="robbery", chains=[]))
 
 

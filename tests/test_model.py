@@ -1,6 +1,7 @@
 """Combined sequence, decoder, joint loss, generation, and checkpoints."""
 
 import copy
+import dataclasses
 import io
 import json
 import zipfile
@@ -8,7 +9,9 @@ import zipfile
 import numpy as np
 import pytest
 
+from lexchain import encoder as encoder_module
 from lexchain import model as model_module
+from lexchain import tokenizer as tokenizer_module
 from lexchain.chains import ChainSet, SentencingRange, chain_from_text
 from lexchain.checkpoint import load_checkpoint, save_checkpoint
 from lexchain.corpus import CaseRecord
@@ -35,6 +38,7 @@ from lexchain.model import (
 )
 from lexchain.tensor import (KVCache, Tape, Tensor, backward, concat, gather_rows, layer_norm,
                              log_likelihood_rows, tsum)
+from lexchain.training import _gradcheck_fixture
 
 
 def _chain_set():
@@ -542,6 +546,56 @@ class TestJointLoss:
         losses = joint_loss([(bad, chains)], model, beta=0.0)
         assert losses.sentencing.item() == 0.0
         assert losses.total.item() == losses.reasoning.item()
+
+    def test_missing_span_names_the_case_after_a_warm_call(self):
+        """The memo keeps the span's absence, not the error: each case that
+        hits it with beta > 0 is named."""
+        model, chains, _ = _fixture()
+        bare = [CaseRecord(case_id=case_id, fact="goods were taken", charge="toyoffense",
+                           opinion="the court orders nothing", sentence_months=0,
+                           sentencing_span=None, defendant="the man")
+                for case_id in ("first", "second")]
+        joint_loss([(bare[0], chains)], model, beta=0.0)
+        for record in bare:
+            with pytest.raises(ValidationError, match=f"case {record.case_id} has no"):
+                joint_loss([(record, chains)], model, beta=1.0)
+
+    def test_warm_tables_give_a_cold_tables_bytes(self):
+        """On the gradcheck fixture, loss terms and gradients after earlier
+        calls filled the table's memos are a fresh model's, byte for byte."""
+        def terms_and_grads(model, batch):
+            leaves = [model.params[name] for name in sorted(model.params)]
+            with Tape() as tape:
+                tape.watch(*leaves)
+                losses = joint_loss(batch, model)
+                backward(tape, losses.total)
+            terms = (losses.total, losses.reasoning, losses.sentencing)
+            return [t.data.tobytes() for t in terms] + [t.grad.tobytes() for t in leaves]
+
+        cold = terms_and_grads(*_gradcheck_fixture(8, 2, 1, 0))
+        warm_model, batch = _gradcheck_fixture(8, 2, 1, 0)
+        joint_loss(batch, warm_model)
+        joint_loss(batch[::-1], warm_model)
+        assert warm_model.table.targets
+        assert terms_and_grads(warm_model, batch) == cold
+
+    def test_a_repeated_call_tokenizes_nothing(self, monkeypatch):
+        model, batch = _gradcheck_fixture(8, 2, 1, 0)
+        joint_loss(batch, model)
+        calls = []
+        for module, name in ((encoder_module, "tokenize"),
+                             (tokenizer_module, "tokenize_with_offsets")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda text, name=name, original=original:
+                                calls.append(name) or original(text))
+        joint_loss(batch, model)
+        assert calls == []
+        (record, chains), _ = batch
+        record = dataclasses.replace(
+            record, opinion="the court orders 6 months of fixed-term imprisonment.")
+        joint_loss([(record, chains)], model)
+        assert calls == ["tokenize_with_offsets", "tokenize"]  # a new opinion: once each
 
     def test_invalid_weights_rejected(self):
         model, chains, cases = _fixture()
