@@ -246,13 +246,16 @@ class LegalChain:
         return sorted(set(expr_labels(self.premise)) & set(expr_labels(self.situation)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainSet:
+    """A charge's chains, held as a tuple so that the set stays non-empty."""
+
     charge: str
-    chains: list[LegalChain]
+    chains: tuple[LegalChain, ...]
     lexicon: dict[str, list[str]] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "chains", tuple(self.chains))
         if not self.chains:
             raise ValidationError(f"chain set for {self.charge!r} has no chains")
 

@@ -192,6 +192,13 @@ def _read_array(zf: zipfile.ZipFile, path: str | Path, spec) -> np.ndarray:
             or not isinstance(spec["name"], str)):
         raise ValidationError(f"{path} manifest has a malformed params entry: {spec!r}")
     try:
-        return np.load(io.BytesIO(zf.read(spec["file"])), allow_pickle=False)
+        arr = np.load(io.BytesIO(zf.read(spec["file"])), allow_pickle=False)
     except (KeyError, ValueError, OSError) as exc:
         raise ValidationError(f"{path} array {spec['name']!r} cannot be read: {exc}") from exc
+    if arr.dtype.str != "<f8":
+        raise ValidationError(f"{path} array {spec['name']!r} has dtype {arr.dtype.str}, "
+                              f"not <f8")
+    if not np.isfinite(arr).all():
+        index = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+        raise ValidationError(f"{path} array {spec['name']!r} is not finite at index {index}")
+    return arr

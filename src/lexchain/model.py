@@ -57,6 +57,9 @@ class Model:
         self.table = table
         self.charges = list(charges)
         self.params = params
+        # Greedy decoding's draft pool: the last DRAFT_KEY ids it emitted ->
+        # the id it emitted next (most recent wins).  Never saved.
+        self.drafts: dict[tuple[int, ...], int] = {}
 
     @property
     def vocab_size(self) -> int:
@@ -341,16 +344,45 @@ class OpinionOutput:
 
 
 TOP_K = 10
+DRAFT_KEY = 2  # emitted ids a draft pool entry is keyed on
+DRAFT_LEN = 8  # drafted ids verified per decoder call, at most
+
+
+def _sample(logits: np.ndarray, rng: np.random.Generator) -> int:
+    """One draw from the renormalized top ``TOP_K`` logits."""
+    order = np.argsort(-logits, kind="stable")[:TOP_K]
+    z = logits[order] - logits[order].max()
+    probs = np.exp(z)
+    probs /= probs.sum()
+    return int(rng.choice(order, p=probs))
+
+
+def _draft(drafts: Mapping[tuple[int, ...], int], token_ids: list[int], room: int) -> list[int]:
+    """Up to ``room`` ids that follow ``token_ids`` by the draft pool, each
+    keyed on the ``DRAFT_KEY`` ids before it."""
+    key = tuple(token_ids[-DRAFT_KEY:])
+    draft: list[int] = []
+    while len(draft) < room and key in drafts:
+        draft.append(drafts[key])
+        key = (*key[1:], draft[-1])
+    return draft
 
 
 def generate(model: Model, combined: Tensor, n_chain_rows: int, max_len: int = 96,
              mode: str = "greedy", seed: int = 0) -> OpinionOutput:
     """Autoregressive decode conditioned on the combined prefix.
 
-    The prefix fills a KV cache per layer; each new token then runs alone.
-    Greedy mode is deterministic; ``top-k`` samples from the renormalized top
-    ``TOP_K`` logits using the given seed.  Decoding stops at ``<eos>``, at
-    ``max_len`` tokens, or when the context fills up.
+    The prefix fills a KV cache per layer; each later decoder call feeds the
+    newest token.  Greedy mode is deterministic; ``top-k`` samples from the
+    renormalized top ``TOP_K`` logits using the given seed.  Decoding stops at
+    ``<eos>``, at ``max_len`` tokens, or when the context fills up.
+
+    Greedy decoding also feeds, in the same call, up to ``DRAFT_LEN`` ids
+    drafted from ``model.drafts`` (which it fills with every token it emits).
+    Row ``i`` of the call then gives the logits after the first ``i`` drafted
+    ids: each drafted id that equals its row's argmax is accepted, the first
+    row that disagrees gives the next token, and the caches drop the rows
+    after it.  Every token is thus still the argmax of its own prefix.
     """
     if mode not in ("greedy", "top-k"):
         raise ContractError(f"unknown decode mode {mode!r}")
@@ -359,30 +391,39 @@ def generate(model: Model, combined: Tensor, n_chain_rows: int, max_len: int = 9
     cfg = model.cfg
     params = model.params
     eos = model.table.vocab["<eos>"]
+    greedy = mode == "greedy"
     rng = np.random.default_rng(seed)
     prefix_len = combined.shape[0]
+    limit = min(max_len, cfg.context - prefix_len)
     x = add_positions(combined, n_chain_rows, params, cfg)
     dh = cfg.d // cfg.dec_heads
     caches = [T.KVCache(cfg.context, cfg.dec_heads, dh) for _ in range(cfg.layers)]
-    logits = decoder_forward(x, params, cfg, first_row=prefix_len - 1, caches=caches).data[0]
+    logits = decoder_forward(x, params, cfg, first_row=prefix_len - 1, caches=caches).data
     token_ids: list[int] = []
-    position = prefix_len
-    while len(token_ids) < max_len and position < cfg.context:
-        if mode == "greedy":
-            next_id = int(np.argmax(logits))
-        else:
-            order = np.argsort(-logits, kind="stable")[:TOP_K]
-            z = logits[order] - logits[order].max()
-            probs = np.exp(z)
-            probs /= probs.sum()
-            next_id = int(rng.choice(order, p=probs))
-        if next_id == eos:
-            break
-        token_ids.append(next_id)
-        row = Tensor((params["embed"].data[next_id] + params["pos"].data[position])[None, :])
-        logits = decoder_forward(row, params, cfg, caches=caches).data[0]
-        position += 1
-    return OpinionOutput(text=detokenize(model.table.decode(token_ids)), token_ids=token_ids)
+    draft: list[int] = []
+    accepted = 0
+    while len(token_ids) < limit:
+        if token_ids:
+            for cache in caches:
+                cache.used -= len(draft) - accepted
+            # The call's last row gives token len(token_ids) + len(draft), below limit.
+            room = min(DRAFT_LEN, limit - len(token_ids) - 1)
+            draft = _draft(model.drafts, token_ids, room) if greedy else []
+            ids = [token_ids[-1], *draft]
+            position = prefix_len + len(token_ids) - 1
+            rows = params["embed"].data[ids] + params["pos"].data[position:position + len(ids)]
+            logits = decoder_forward(Tensor(rows), params, cfg, caches=caches).data
+        for accepted, row in enumerate(logits):
+            next_id = int(np.argmax(row)) if greedy else _sample(row, rng)
+            if next_id == eos:
+                limit = len(token_ids)  # ends the outer loop
+                break
+            if greedy and len(token_ids) >= DRAFT_KEY:
+                model.drafts[tuple(token_ids[-DRAFT_KEY:])] = next_id
+            token_ids.append(next_id)
+            if accepted == len(draft) or next_id != draft[accepted]:
+                break
+    return OpinionOutput(detokenize(model.table.decode(token_ids)), token_ids)
 
 
 def decode_case(model: Model, record, chain_set: ChainSet | None, max_len: int = 96,

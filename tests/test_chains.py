@@ -1,5 +1,6 @@
 """Condition trees, chain files, validation constraints, and extraction parsing."""
 
+import dataclasses
 import itertools
 import json
 
@@ -476,6 +477,21 @@ class TestChainTypes:
     def test_chain_set_needs_a_chain(self):
         with pytest.raises(ValidationError, match="chain set for 'x' has no chains"):
             ChainSet(charge="x", chains=[])
+
+    def test_a_loaded_chain_set_cannot_be_emptied(self):
+        """The non-empty rule holds for a set's whole life: its chains are a
+        tuple, and the set takes no new field values."""
+        from lexchain.cli import default_chains_dir
+
+        library = load_chain_library(default_chains_dir())
+        cs = library[sorted(library)[0]]
+        assert isinstance(cs.chains, tuple)
+        with pytest.raises(AttributeError):
+            cs.chains.clear()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cs.chains = ()
+        assert cs.chains
+        assert isinstance(_toy_chain_set().chains, tuple)  # built from a list
 
     def test_chain_from_text_requires_nonempty(self):
         with pytest.raises((ValidationError, ParseError)):

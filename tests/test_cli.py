@@ -607,6 +607,43 @@ class TestCorruptCheckpoint:
         assert code == 2
         assert "vocab holds tokens more than once" in err
 
+    @pytest.mark.parametrize("kind, expected", [
+        ("nan", "is not finite at index {index}"),
+        ("all-inf", "is not finite at index {first}"),
+        ("complex", "has dtype <c16, not <f8"),
+        ("bool", "has dtype |b1, not <f8"),
+        ("float16", "has dtype <f2, not <f8"),
+        ("unicode", "has dtype <U3, not <f8"),
+    ], ids=["nan", "all-inf", "complex", "bool", "float16", "unicode"])
+    def test_array_values_must_be_finite_float64(self, workspace, tmp_path, capsys, kind,
+                                                  expected):
+        """The first array of the archive, replaced by one of its own shape
+        that holds a NaN, is all inf, or is not float64, is exit 2 naming the
+        array and its dtype or first non-finite index."""
+        with zipfile.ZipFile(workspace["checkpoint"]) as zf:
+            spec = json.loads(zf.read("manifest.json"))["params"][0]
+            original = np.load(io.BytesIO(zf.read(spec["file"])))
+        shape = original.shape
+        index = np.unravel_index(5, shape)
+        if kind == "nan":
+            array = original.copy()
+            array[index] = np.nan
+        else:
+            array = {"all-inf": lambda: np.full(shape, np.inf),
+                     "complex": lambda: original.astype(np.complex128),
+                     "bool": lambda: np.ones(shape, dtype=bool),
+                     "float16": lambda: original.astype(np.float16),
+                     "unicode": lambda: np.full(shape, "1.5")}[kind]()
+        buf = io.BytesIO()
+        np.save(buf, array, allow_pickle=False)
+        ckpt = _corrupted_checkpoint(workspace["checkpoint"], tmp_path / "m.ckpt",
+                                     replace={spec["file"]: buf.getvalue()})
+        code, err = self._generate(workspace, ckpt, capsys)
+        assert code == 2
+        assert f"array {spec['name']!r} " in err
+        assert expected.format(index=tuple(int(i) for i in index),
+                               first=(0,) * len(shape)) in err
+
     def test_untouched_copy_still_loads(self, workspace, tmp_path, capsys):
         ckpt = _corrupted_checkpoint(workspace["checkpoint"], tmp_path / "m.ckpt")
         code, err = self._generate(workspace, ckpt, capsys)

@@ -24,6 +24,7 @@ from lexchain.errors import (
     ValidationError,
 )
 from lexchain.model import (
+    DRAFT_KEY,
     MASK_VALUE,
     ModelConfig,
     add_positions,
@@ -740,6 +741,23 @@ class TestGeneration:
         eos = model.table.vocab["<eos>"]
         expected = ids[:ids.index(eos)] if eos in ids else ids
         assert generate(model, combined, encoded.n, max_len=10).token_ids == expected
+        # A verify step: the newest token and three drafted ids in one call,
+        # then the caches drop two rejected rows and one row follows.
+        full = decoder_forward(x, model.params, cfg).data[-1]
+        np.testing.assert_allclose(cached.data[0], full, rtol=0, atol=1e-12)
+        block = (model.params["embed"].data[ids[:4]]
+                 + model.params["pos"].data[rows:rows + 4])
+        cached = decoder_forward(Tensor(block), model.params, cfg, caches=caches)
+        x = Tensor(np.vstack([x.data, block]))
+        np.testing.assert_allclose(cached.data, decoder_forward(x, model.params, cfg).data[-4:],
+                                   rtol=0, atol=1e-12)
+        for cache in caches:
+            cache.used -= 2
+        row = model.params["embed"].data[ids[4]] + model.params["pos"].data[rows + 2]
+        x = Tensor(np.vstack([x.data[:rows + 2], row]))
+        cached = decoder_forward(Tensor(row[None, :]), model.params, cfg, caches=caches)
+        np.testing.assert_allclose(cached.data[0], decoder_forward(x, model.params, cfg).data[-1],
+                                   rtol=0, atol=1e-12)
 
     def test_caches_past_the_context_rejected(self):
         model, _, _ = _fixture(context=8)
@@ -813,6 +831,109 @@ class TestGeneration:
         combined = combine(None, cases[0].fact, model.table)
         out = generate(model, combined, 0, max_len=30)
         assert model.table.vocab["<eos>"] not in out.token_ids
+
+
+def _trained_fixture(steps=40):
+    """The toy fixture after a few plain gradient steps on its two cases: it
+    then decodes each case's opinion and stops at ``<eos>``."""
+    model, chains, cases = _fixture()
+    for _ in range(steps):
+        with Tape() as tape:
+            tape.watch(*model.params.values())
+            backward(tape, joint_loss([(case, chains) for case in cases], model).total)
+        for t in model.params.values():
+            t.data -= 0.05 * t.grad
+            t.grad = None
+    return model, chains, cases
+
+
+def _loop_pool(model, token_ids):
+    """Fill the draft pool so that it drafts ``token_ids`` over and over, on
+    past their end."""
+    cycle = token_ids * 2
+    for i in range(len(token_ids)):
+        model.drafts[tuple(cycle[i:i + DRAFT_KEY])] = cycle[i + DRAFT_KEY]
+
+
+class TestDrafting:
+    """Greedy decoding verifies tokens drafted from ``model.drafts``; the
+    tokens must be those of one-row steps whatever the pool holds."""
+
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_cold_warm_and_reversed_decodes_agree(self, trained):
+        model, chains, cases = _trained_fixture() if trained else _fixture()
+        cold = []
+        for case in cases:
+            model.drafts.clear()
+            cold.append(decode_case(model, case, chains, max_len=30).token_ids)
+        warm = [decode_case(model, case, chains, max_len=30).token_ids for case in cases]
+        backwards = [decode_case(model, case, chains, max_len=30).token_ids
+                     for case in reversed(cases)]
+        assert warm == cold
+        assert backwards[::-1] == cold
+        assert model.drafts
+
+    def test_a_repeated_decode_verifies_drafts(self, monkeypatch):
+        """The second decode of a case takes fewer decoder calls than it emits
+        tokens, and emits the first decode's tokens."""
+        model, chains, cases = _trained_fixture()
+        calls = []
+        real = model_module.decoder_forward
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "decoder_forward", counted)
+        first = decode_case(model, cases[0], chains, max_len=30).token_ids
+        assert len(calls) == len(first) + 1  # an empty pool drafts nothing
+        calls.clear()
+        second = decode_case(model, cases[0], chains, max_len=30).token_ids
+        assert second == first
+        assert len(calls) < len(second)
+        assert max(calls[1:]) > 1
+        model.drafts.clear()
+        calls.clear()
+        assert len(decode_case(model, cases[0], chains, max_len=3).token_ids) == 3
+        assert calls == [calls[0], 1, 1]  # the prefill, then no call for the last token
+
+    def test_eos_inside_a_draft_stops_as_cold(self):
+        model, chains, cases = _trained_fixture()
+        eos = model.table.vocab["<eos>"]
+        model.drafts.clear()
+        cold = decode_case(model, cases[0], chains, max_len=30).token_ids
+        assert 2 < len(cold) < 30 and eos not in cold
+        _loop_pool(model, cold)
+        assert decode_case(model, cases[0], chains, max_len=30).token_ids == cold
+        assert eos not in model.drafts.values()
+
+    @pytest.mark.parametrize("max_len", [1, 2, 6])
+    def test_max_len_inside_a_draft_stops_as_cold(self, max_len):
+        model, chains, cases = _trained_fixture()
+        full = decode_case(model, cases[0], chains, max_len=30).token_ids
+        _loop_pool(model, full)
+        warm = decode_case(model, cases[0], chains, max_len=max_len).token_ids
+        model.drafts.clear()
+        assert warm == decode_case(model, cases[0], chains, max_len=max_len).token_ids
+        assert warm == full[:max_len]
+
+    def test_a_full_context_inside_a_draft_stops_as_cold(self):
+        model, _, cases = _fixture(context=20)
+        combined = combine(None, cases[0].fact, model.table)
+        cold = generate(model, combined, 0, max_len=1000).token_ids
+        assert combined.shape[0] + len(cold) == 20
+        _loop_pool(model, cold)
+        assert generate(model, combined, 0, max_len=1000).token_ids == cold
+
+    def test_top_k_neither_reads_nor_fills_the_pool(self):
+        model, chains, cases = _trained_fixture()
+        model.drafts.clear()
+        cold = decode_case(model, cases[0], chains, mode="top-k", seed=11).token_ids
+        assert model.drafts == {}
+        decode_case(model, cases[1], chains, max_len=30)
+        pool = dict(model.drafts)
+        assert decode_case(model, cases[0], chains, mode="top-k", seed=11).token_ids == cold
+        assert model.drafts == pool
 
 
 class TestCheckpoint:
