@@ -23,7 +23,7 @@ from .errors import ContractError, ParseError, ValidationError, parse_json
 _MONTHS_FIGURE_RE = re.compile(r"\d+")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CaseRecord:
     case_id: str
     fact: str
@@ -40,7 +40,7 @@ class CaseRecord:
         return row
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorpusSplit:
     train: list[CaseRecord]
     test: list[CaseRecord]

@@ -57,8 +57,9 @@ class Model:
         self.table = table
         self.charges = list(charges)
         self.params = params
-        # Greedy decoding's draft pool: the last DRAFT_KEY ids it emitted ->
-        # the id it emitted next (most recent wins).  Never saved.
+        # Greedy decoding's draft pool: each run of the last 1 .. DRAFT_KEY
+        # ids it emitted -> the id it emitted next (most recent wins).  Grows
+        # with the distinct contexts the model has emitted.  Never saved.
         self.drafts: dict[tuple[int, ...], int] = {}
 
     @property
@@ -344,8 +345,8 @@ class OpinionOutput:
 
 
 TOP_K = 10
-DRAFT_KEY = 2  # emitted ids a draft pool entry is keyed on
-DRAFT_LEN = 8  # drafted ids verified per decoder call, at most
+DRAFT_KEY = 6  # emitted ids a draft pool entry is keyed on, at most
+DRAFT_LEN = 12  # drafted ids verified per decoder call, at most
 
 
 def _sample(logits: np.ndarray, rng: np.random.Generator) -> int:
@@ -359,13 +360,27 @@ def _sample(logits: np.ndarray, rng: np.random.Generator) -> int:
 
 def _draft(drafts: Mapping[tuple[int, ...], int], token_ids: list[int], room: int) -> list[int]:
     """Up to ``room`` ids that follow ``token_ids`` by the draft pool, each
-    keyed on the ``DRAFT_KEY`` ids before it."""
-    key = tuple(token_ids[-DRAFT_KEY:])
+    read under the longest run of the ids before it that the pool holds."""
+    tail = tuple(token_ids[-DRAFT_KEY:])
     draft: list[int] = []
-    while len(draft) < room and key in drafts:
-        draft.append(drafts[key])
-        key = (*key[1:], draft[-1])
+    while len(draft) < room:
+        for i in range(len(tail)):
+            next_id = drafts.get(tail[i:])
+            if next_id is not None:
+                break
+        else:
+            break
+        draft.append(next_id)
+        tail = (*tail, next_id)[-DRAFT_KEY:]
     return draft
+
+
+def _remember(drafts: dict[tuple[int, ...], int], token_ids: list[int], next_id: int) -> None:
+    """Store ``next_id`` under each run of the last 1 .. ``DRAFT_KEY`` of
+    ``token_ids``, the ids emitted before it."""
+    tail = tuple(token_ids[-DRAFT_KEY:])
+    for i in range(len(tail)):
+        drafts[tail[i:]] = next_id
 
 
 def generate(model: Model, combined: Tensor, n_chain_rows: int, max_len: int = 96,
@@ -378,7 +393,8 @@ def generate(model: Model, combined: Tensor, n_chain_rows: int, max_len: int = 9
     ``<eos>``, at ``max_len`` tokens, or when the context fills up.
 
     Greedy decoding also feeds, in the same call, up to ``DRAFT_LEN`` ids
-    drafted from ``model.drafts`` (which it fills with every token it emits).
+    drafted from ``model.drafts`` (which it fills with every token it emits),
+    each under the longest run of the ids before it that the pool holds.
     Row ``i`` of the call then gives the logits after the first ``i`` drafted
     ids: each drafted id that equals its row's argmax is accepted, the first
     row that disagrees gives the next token, and the caches drop the rows
@@ -413,13 +429,14 @@ def generate(model: Model, combined: Tensor, n_chain_rows: int, max_len: int = 9
             position = prefix_len + len(token_ids) - 1
             rows = params["embed"].data[ids] + params["pos"].data[position:position + len(ids)]
             logits = decoder_forward(Tensor(rows), params, cfg, caches=caches).data
-        for accepted, row in enumerate(logits):
-            next_id = int(np.argmax(row)) if greedy else _sample(row, rng)
+        # Top-k feeds one row per call, so it draws once per call.
+        picks = logits.argmax(axis=1).tolist() if greedy else [_sample(logits[0], rng)]
+        for accepted, next_id in enumerate(picks):
             if next_id == eos:
                 limit = len(token_ids)  # ends the outer loop
                 break
-            if greedy and len(token_ids) >= DRAFT_KEY:
-                model.drafts[tuple(token_ids[-DRAFT_KEY:])] = next_id
+            if greedy:
+                _remember(model.drafts, token_ids, next_id)
             token_ids.append(next_id)
             if accepted == len(draft) or next_id != draft[accepted]:
                 break

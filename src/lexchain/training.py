@@ -385,7 +385,8 @@ def train(split: CorpusSplit, library: Mapping[str, ChainSet], cfg: TrainConfig,
             if log_path is not None:
                 _write_log(log_path, log_rows)
         return TrainResult(model=model, log_rows=log_rows, config=cfg)
-    except (BrokenPipeError, EOFError):  # the worker's end of the pipe closed
+    except (ConnectionError, EOFError):  # the worker's end of the pipe closed
+        # (a reset, not an EOF, when the worker left a message unread)
         raise ChildProcessError("the training worker exited during a step") from None
     finally:
         if worker is not None:

@@ -1,5 +1,6 @@
 """Synthetic corpus generation, JSONL round-trips, and stratified splitting."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -49,6 +50,13 @@ class TestSynthesis:
         for rec in corpus:
             ranges = [c.conclusion for c in library[rec.charge].chains]
             assert any(r.contains(rec.sentence_months) for r in ranges), rec.case_id
+
+    def test_records_cannot_be_changed(self, corpus):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            corpus[0].opinion = "the court orders 1 months of fixed-term imprisonment."
+        parts = split(corpus, 0.8, seed=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            parts.test = []
 
     def test_opinion_span_slices_to_sentencing_clause(self, corpus):
         for rec in corpus:

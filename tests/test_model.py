@@ -2,12 +2,14 @@
 
 import copy
 import dataclasses
+import functools
 import io
 import json
 import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexchain import encoder as encoder_module
 from lexchain import model as model_module
@@ -25,6 +27,7 @@ from lexchain.errors import (
 )
 from lexchain.model import (
     DRAFT_KEY,
+    DRAFT_LEN,
     MASK_VALUE,
     ModelConfig,
     add_positions,
@@ -849,10 +852,73 @@ def _trained_fixture(steps=40):
 
 def _loop_pool(model, token_ids):
     """Fill the draft pool so that it drafts ``token_ids`` over and over, on
-    past their end."""
-    cycle = token_ids * 2
-    for i in range(len(token_ids)):
-        model.drafts[tuple(cycle[i:i + DRAFT_KEY])] = cycle[i + DRAFT_KEY]
+    past their end, from keys of every length."""
+    cycle = token_ids * (DRAFT_KEY + 2)
+    for i in range(DRAFT_KEY, len(cycle)):
+        for k in range(1, DRAFT_KEY + 1):
+            model.drafts[tuple(cycle[i - k:i])] = cycle[i]
+
+
+def _replay_calls(pool, prefix_len, emitted, limit, eos):
+    """The rows of every decoder call a greedy decode makes when it emits
+    ``emitted`` (then ``<eos>``, if it stopped before ``limit``), with
+    ``pool`` as the draft pool before it; fills ``pool`` as decoding does.
+
+    Each drafted id is read under the longest run of the 1 .. DRAFT_KEY ids
+    before it that the pool holds; each emitted id is stored under every run
+    of the 1 .. DRAFT_KEY ids emitted before it."""
+    stream = emitted + [eos] if len(emitted) < limit else emitted
+    rows = [prefix_len]
+    out = []
+    draft = []
+    while True:
+        for drafted in [*draft, None]:
+            token = stream[len(out)]
+            if token == eos:
+                return rows
+            for k in range(1, min(DRAFT_KEY, len(out)) + 1):
+                pool[tuple(out[-k:])] = token
+            out.append(token)
+            if token != drafted:
+                break
+        if len(out) == limit:
+            return rows
+        draft = []
+        room = min(DRAFT_LEN, limit - len(out) - 1)
+        while len(draft) < room:
+            context = out + draft
+            held = [key for key in (tuple(context[-k:]) for k in range(1, DRAFT_KEY + 1)
+                                    if k <= len(context)) if key in pool]
+            if not held:
+                break
+            draft.append(pool[max(held, key=len)])
+        rows.append(1 + len(draft))
+
+
+def _count_calls(monkeypatch):
+    """Record the rows of every ``decoder_forward`` call from here on."""
+    calls = []
+    real = model_module.decoder_forward
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "decoder_forward", counted)
+    return calls
+
+
+@functools.cache
+def _cold_decodes():
+    """The trained fixture, and each case's tokens decoded from an empty pool
+    at max_len 1, 6 and 30."""
+    model, chains, cases = _trained_fixture()
+    cold = {}
+    for case in cases:
+        for max_len in (1, 6, 30):
+            model.drafts.clear()
+            cold[case.case_id, max_len] = decode_case(model, case, chains, max_len=max_len).token_ids
+    return model, chains, cases, cold
 
 
 class TestDrafting:
@@ -877,25 +943,81 @@ class TestDrafting:
         """The second decode of a case takes fewer decoder calls than it emits
         tokens, and emits the first decode's tokens."""
         model, chains, cases = _trained_fixture()
-        calls = []
-        real = model_module.decoder_forward
-
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape[0])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(model_module, "decoder_forward", counted)
+        eos = model.table.vocab["<eos>"]
+        pool = {}
+        calls = _count_calls(monkeypatch)
         first = decode_case(model, cases[0], chains, max_len=30).token_ids
-        assert len(calls) == len(first) + 1  # an empty pool drafts nothing
+        limit = min(30, model.cfg.context - calls[0])
+        assert calls == _replay_calls(pool, calls[0], first, limit, eos)
         calls.clear()
         second = decode_case(model, cases[0], chains, max_len=30).token_ids
         assert second == first
+        assert calls == _replay_calls(pool, calls[0], second, limit, eos)
         assert len(calls) < len(second)
         assert max(calls[1:]) > 1
         model.drafts.clear()
         calls.clear()
         assert len(decode_case(model, cases[0], chains, max_len=3).token_ids) == 3
         assert calls == [calls[0], 1, 1]  # the prefill, then no call for the last token
+
+    def test_decoder_calls_follow_the_longest_match_rule(self, monkeypatch):
+        """A replay of the pool rule predicts the rows of every decoder call
+        of a cold and then a warm decode of every case, and the pool they
+        leave; the warm pass adds no entry."""
+        model, chains, cases = _trained_fixture()
+        eos = model.table.vocab["<eos>"]
+        encoded = encode_chain_set(chains, model.table, model.params, model.cfg.enc_heads)
+        calls = _count_calls(monkeypatch)
+        pool = {}
+        passes = []
+        for _ in ("cold", "warm"):
+            tokens = []
+            for case in cases:
+                prefix_len = combine(encoded, case.fact, model.table).shape[0]
+                limit = min(30, model.cfg.context - prefix_len)
+                calls.clear()
+                tokens.append(decode_case(model, case, chains, max_len=30).token_ids)
+                assert calls == _replay_calls(pool, prefix_len, tokens[-1], limit, eos)
+            passes.append((tokens, len(model.drafts)))
+        (cold, cold_entries), (warm, warm_entries) = passes
+        assert warm == cold
+        assert warm_entries == cold_entries
+        assert model.drafts == pool
+        assert len(pool) <= DRAFT_KEY * sum(map(len, cold))
+
+    def test_the_longest_held_key_drafts(self, monkeypatch):
+        """With every one-id key pointing at a wrong id, the longer keys still
+        draft a repeated decode: after its first two tokens, one call
+        verifies the rest."""
+        model, chains, cases = _trained_fixture()
+        eos = model.table.vocab["<eos>"]
+        first = decode_case(model, cases[0], chains, max_len=30).token_ids
+        for key in [key for key in model.drafts if len(key) == 1]:
+            model.drafts[key] = (model.drafts[key] + 1) % model.vocab_size
+        pool = dict(model.drafts)
+        calls = _count_calls(monkeypatch)
+        assert decode_case(model, cases[0], chains, max_len=30).token_ids == first
+        limit = min(30, model.cfg.context - calls[0])
+        assert calls == _replay_calls(pool, calls[0], first, limit, eos)
+        assert calls[1:] == [2, len(first) - 1]
+
+    @settings(derandomize=True, max_examples=150, database=None, deadline=None)
+    @given(data=st.data())
+    def test_any_pool_leaves_the_tokens_alone(self, data):
+        """Drafts are only proposals: whatever ids the pool maps to whatever
+        ids, greedy tokens are those of a cold decode."""
+        model, chains, cases, cold = _cold_decodes()
+        eos = model.table.vocab["<eos>"]
+        seen = sorted({eos, model.vocab_size - 1, *cold[cases[0].case_id, 30],
+                       *cold[cases[1].case_id, 30]})
+        ids = st.one_of(st.sampled_from(seen), st.integers(0, model.vocab_size - 1))
+        pool = data.draw(st.dictionaries(
+            st.lists(ids, min_size=1, max_size=DRAFT_KEY).map(tuple), ids, max_size=60))
+        for case in cases:
+            for max_len in (1, 6, 30):
+                model.drafts = dict(pool)
+                tokens = decode_case(model, case, chains, max_len=max_len).token_ids
+                assert tokens == cold[case.case_id, max_len]
 
     def test_eos_inside_a_draft_stops_as_cold(self):
         model, chains, cases = _trained_fixture()

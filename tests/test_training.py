@@ -527,15 +527,16 @@ class TestWorker:
               _tiny_cfg(epochs=2, batch_size=4, dropout=0.1))
         assert steps == [(4, True, 1), (1, False, 1)] * 2
 
-    def _dies_in(self, name, driving_corpus, library, monkeypatch, tmp_path):
+    def _dies_in(self, name, driving_corpus, library, monkeypatch, tmp_path, after=0.0):
         """Patch ``name`` before the fork so that only the worker exits in
-        it: ``train`` raises ChildProcessError and leaves no process behind,
-        and ``lexchain train`` exits 3."""
+        it, ``after`` seconds in: ``train`` raises ChildProcessError and
+        leaves no process behind, and ``lexchain train`` exits 3."""
         main_pid = os.getpid()
         original = getattr(training_module, name)
 
         def dying(*args):
             if os.getpid() != main_pid:
+                time.sleep(after)
                 os._exit(1)
             return original(*args)
 
@@ -557,6 +558,12 @@ class TestWorker:
     def test_a_worker_that_dies_in_its_share_ends_training(
             self, driving_corpus, library, monkeypatch, tmp_path):
         self._dies_in("_share", driving_corpus, library, monkeypatch, tmp_path)
+
+    def test_a_worker_that_dies_with_a_message_unread_ends_training(
+            self, driving_corpus, library, monkeypatch, tmp_path):
+        """The main process's "gradients in place" message reaches the worker
+        before it exits, so the pipe is reset rather than closed."""
+        self._dies_in("_share", driving_corpus, library, monkeypatch, tmp_path, after=0.5)
 
     def test_a_worker_that_dies_in_its_adam_half_ends_training(
             self, driving_corpus, library, monkeypatch, tmp_path):
