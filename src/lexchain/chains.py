@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import (ConfigurationError, ContractError, ExtractionError, ParseError,
-                     ValidationError, parse_json, read_text)
+                     ValidationError, parse_json, read_text, require)
 from .tokenizer import tokenize
 
 # ---------------------------------------------------------------------------
@@ -296,37 +296,28 @@ def chain_from_text(premise_text: str, situation_text: str, conclusion: Sentenci
 # ---------------------------------------------------------------------------
 
 
-def _require(obj: dict, key: str, kind, where: str):
-    if key not in obj:
-        raise ParseError(f"missing required key {key!r}", field=where)
-    value = obj[key]
-    if not isinstance(value, kind):
-        raise ParseError(f"key {key!r} must be {kind.__name__}", field=f"{where}.{key}")
-    return value
-
-
 def parse_chain_file(text: str) -> ChainSet:
     """Parse the chain-file JSON document; raises on schema or range violations."""
     doc = parse_json(text, lambda reason, line: ParseError(
         f"chain file is not valid JSON: {reason}", line=line))
     if not isinstance(doc, dict):
         raise ParseError("chain file must be a JSON object", field="$")
-    charge = _require(doc, "charge", str, "$")
+    charge = require(doc, "charge", str, where="$")
     if not charge.strip():
         raise ParseError("charge must be non-empty", field="charge")
-    raw_chains = _require(doc, "chains", list, "$")
+    raw_chains = require(doc, "chains", list, where="$")
     chains: list[LegalChain] = []
     for i, raw in enumerate(raw_chains):
         where = f"chains[{i}]"
         if not isinstance(raw, dict):
             raise ParseError("chain entry must be an object", field=where)
-        premise = _require(raw, "premise", dict, where)
-        situation = _require(raw, "situation", dict, where)
-        conclusion = _require(raw, "conclusion", dict, where)
-        p_text = _require(premise, "text", str, f"{where}.premise")
-        s_text = _require(situation, "text", str, f"{where}.situation")
-        lo = _require(conclusion, "min_months", int, f"{where}.conclusion")
-        hi = _require(conclusion, "max_months", int, f"{where}.conclusion")
+        premise = require(raw, "premise", dict, where=where)
+        situation = require(raw, "situation", dict, where=where)
+        conclusion = require(raw, "conclusion", dict, where=where)
+        p_text = require(premise, "text", str, where=f"{where}.premise")
+        s_text = require(situation, "text", str, where=f"{where}.situation")
+        lo = require(conclusion, "min_months", int, where=f"{where}.conclusion")
+        hi = require(conclusion, "max_months", int, where=f"{where}.conclusion")
         label = conclusion.get("label", "")
         if not isinstance(label, str):
             raise ParseError("label must be a string", field=f"{where}.conclusion.label")
@@ -340,9 +331,9 @@ def parse_chain_file(text: str) -> ChainSet:
         chains.append(
             LegalChain(
                 premise_text=p_text,
-                premise=expr_from_json(_require(premise, "expr", dict, f"{where}.premise"), f"{where}.premise.expr"),
+                premise=expr_from_json(require(premise, "expr", dict, where=f"{where}.premise"), f"{where}.premise.expr"),
                 situation_text=s_text,
-                situation=expr_from_json(_require(situation, "expr", dict, f"{where}.situation"), f"{where}.situation.expr"),
+                situation=expr_from_json(require(situation, "expr", dict, where=f"{where}.situation"), f"{where}.situation.expr"),
                 conclusion=sentencing,
                 source_provision=source,
             )

@@ -27,7 +27,6 @@ FORMAT_VERSION = 2
 _EPOCH = (1980, 1, 1, 0, 0, 0)
 _MANIFEST_KEYS = {"format_version", "kind", "config", "vocab", "charges", "params"}
 _CONFIG_KEYS = {f.name for f in fields(ModelConfig)}
-_CHARGE = "enc.charge."
 
 
 def _entry(name: str) -> zipfile.ZipInfo:
@@ -99,7 +98,7 @@ def load_checkpoint(path: str | Path) -> tuple[Model, dict]:
     vocab = {tok: i for i, tok in enumerate(manifest["vocab"])}
     _check_params(params, cfg, len(vocab), manifest["charges"], path)
     table = EmbeddingTable(vocab, params["embed"])
-    model = Model(cfg, table, manifest["charges"], params)
+    model = Model(cfg, table, params)
     return model, manifest.get("extra", {})
 
 
@@ -162,12 +161,8 @@ def _stack_heads(params: dict[str, Tensor], cfg: ModelConfig) -> None:
 
 def _check_params(params: dict[str, Tensor], cfg: ModelConfig, vocab_size: int,
                   charges: list, path: str | Path) -> None:
-    """Every parameter the config implies is present with its shape, and no
-    other.  A charge registered after the model was built is not listed in
-    ``charges``; its ``enc.charge.<c>.W``/``.b`` pair is checked all the same."""
-    registered = {name[len(_CHARGE):-2] for name in params
-                  if name.startswith(_CHARGE) and name.endswith((".W", ".b"))}
-    expected = param_shapes(cfg, vocab_size, sorted(set(charges) | registered))
+    """The parameters are exactly those the config and the listed charges imply, shapes too."""
+    expected = param_shapes(cfg, vocab_size, charges)
     missing = sorted(set(expected) - set(params))
     extra = sorted(set(params) - set(expected))
     misshapen = sorted(name for name in set(expected) & set(params)

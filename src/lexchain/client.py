@@ -1,17 +1,20 @@
-"""Minimal HTTP client for text-completion endpoints.
+"""Minimal HTTP client for text-completion endpoints, on the standard library.
 
 Used by the extraction workflow (send a structuring prompt, get raw text back)
 and by pairwise comparison scoring.  The wire format is deliberately simple:
 POST a JSON object ``{"prompt": ...}`` and expect ``{"text": ...}`` in return.
+An https endpoint's certificate is checked against the system's trust store.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from http.client import HTTPException
+from urllib.error import HTTPError
+from urllib.request import Request, urlopen
 
-import requests
-
-from .errors import ContractError, EvaluationError
+from .errors import ContractError, EvaluationError, parse_json
 
 
 class CompletionClient:
@@ -39,19 +42,18 @@ class CompletionClient:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        request = Request(self.endpoint, json.dumps({"prompt": prompt}).encode("utf-8"), headers)
         try:
-            response = requests.post(self.endpoint, json={"prompt": prompt},
-                                     headers=headers, timeout=self.timeout)
-        except requests.RequestException as exc:
+            try:
+                with urlopen(request, timeout=self.timeout) as response:
+                    body = response.read()
+            except HTTPError as exc:  # a non-2xx status; a failed body read lands below
+                raise EvaluationError(f"completion endpoint returned HTTP {exc.code}: "
+                                      f"{exc.read().decode('utf-8', 'replace')[:200]}") from exc
+        except (OSError, HTTPException) as exc:
             raise EvaluationError(f"completion request failed: {exc}") from exc
-        if response.status_code // 100 != 2:
-            raise EvaluationError(
-                f"completion endpoint returned HTTP {response.status_code}: "
-                f"{response.text[:200]}")
-        try:
-            payload = response.json()
-        except ValueError as exc:
-            raise EvaluationError(f"completion response is not JSON: {exc}") from exc
+        payload = parse_json(body, lambda reason, _: EvaluationError(
+            f"completion response is not JSON: {reason}"))
         if not isinstance(payload, dict) or not isinstance(payload.get("text"), str):
             raise EvaluationError("completion response must be an object with a 'text' string")
         return payload["text"]

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .chains import ChainSet, charge_chains, expr_labels
-from .errors import ContractError, ParseError, ValidationError, parse_json
+from .errors import ContractError, ParseError, ValidationError, is_a, parse_json, require
 
 _MONTHS_FIGURE_RE = re.compile(r"\d+")
 
@@ -47,28 +47,19 @@ class CorpusSplit:
     seed: int
 
 
-_REQUIRED_FIELDS = {
-    "case_id": str,
-    "fact": str,
-    "charge": str,
-    "opinion": str,
-    "sentence_months": int,
-    "defendant": str,
-}
+_REQUIRED_FIELDS = {"case_id": str, "fact": str, "charge": str, "opinion": str,
+                    "sentence_months": int, "defendant": str}
 
 
 def _record_from_dict(obj: dict, line_no: int) -> CaseRecord:
     if not isinstance(obj, dict):
         raise ParseError("a case record must be a JSON object", line=line_no)
     for key, kind in _REQUIRED_FIELDS.items():
-        if key not in obj:
-            raise ParseError(f"missing required key {key!r}", line=line_no)
-        if not isinstance(obj[key], kind) or isinstance(obj[key], bool):
-            raise ParseError(f"key {key!r} must be {kind.__name__}", line=line_no, field=key)
+        require(obj, key, kind, line_no)
     span = obj.get("sentencing_span")
     if span is not None:
         if (not isinstance(span, (list, tuple)) or len(span) != 2
-                or not all(isinstance(v, int) for v in span)):
+                or not all(is_a(v, int) for v in span)):
             raise ParseError("sentencing_span must be [start, end]", line=line_no,
                              field="sentencing_span")
         start, end = span

@@ -167,20 +167,18 @@ def _encode_pooled(chains: Sequence[LegalChain], table: EmbeddingTable,
     h = embed_components(texts, table)
     mask, pool = _chain_constants(n)
     attn_out, probs = attention(h, params, "enc.attn", heads, mask)
-    if dropout_rate:
-        attn_out = T.dropout(attn_out, dropout_rate, rng)
+    attn_out = T.dropout(attn_out, dropout_rate, rng)
     return T.matmul(Tensor(pool), h + attn_out), probs
 
 
 def encode_chain(chain: LegalChain, table: EmbeddingTable, params: Mapping[str, Tensor],
-                 heads: int, dropout_rate: float = 0.0,
-                 rng: np.random.Generator | None = None) -> tuple[Tensor, np.ndarray]:
+                 heads: int) -> tuple[Tensor, np.ndarray]:
     """Component stack -> self-attention with residual -> mean pool.
 
     Returns the pooled 1 x d representation ``r`` and the head-averaged 3x3
     attention weight matrix, a diagnostic that only this function computes.
     """
-    r, probs = _encode_pooled([chain], table, params, heads, dropout_rate, rng)
+    r, probs = _encode_pooled([chain], table, params, heads, 0.0, None)
     return r, probs.mean(axis=0)
 
 
@@ -211,9 +209,7 @@ def crime_transform(r: Tensor, charge: str, params: MutableMapping[str, Tensor],
     (1-g)*u`` elementwise.  Returns ``(t, g)``.
     """
     d = r.shape[1]
-    hidden = T.relu(linear(r, params, "enc.G1"))
-    if dropout_rate:
-        hidden = T.dropout(hidden, dropout_rate, rng)
+    hidden = T.dropout(T.relu(linear(r, params, "enc.G1")), dropout_rate, rng)
     u = linear(hidden, params, "enc.G2")
     ensure_charge(params, charge, d, auto_register)
     v = linear(u, params, f"enc.charge.{charge}")

@@ -61,7 +61,7 @@ class ConfigurationError(LexchainError):
     """Runtime configuration is inconsistent (e.g. missing chain set for a charge)."""
 
 
-def parse_json(text: str, error: Callable[[str, int | None], LexchainError]):
+def parse_json(text: str | bytes, error: Callable[[str, int | None], LexchainError]):
     """``json.loads`` of outside input: malformed JSON, JSON nested too deeply
     for the decoder, and integers past the interpreter's digit limit raise
     ``error(reason, line or None)``."""
@@ -82,3 +82,19 @@ def read_text(path: str | Path, error: Callable[[str], LexchainError]) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"not UTF-8 text: {exc}") from exc
+
+
+def is_a(value, kind: type) -> bool:
+    """Whether a decoded JSON value is a ``kind``; a boolean never is (no input field is one)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def require(obj: dict, key: str, kind: type, line: int | None = None, where: str | None = None):
+    """``obj[key]`` if it :func:`is_a` ``kind``, else a ParseError at ``line``
+    naming the object ``where`` or the field ``where.key`` (or ``key``)."""
+    if key not in obj:
+        raise ParseError(f"missing required key {key!r}", line, where)
+    if not is_a(obj[key], kind):
+        raise ParseError(f"key {key!r} must be {kind.__name__}", line,
+                         key if where is None else f"{where}.{key}")
+    return obj[key]

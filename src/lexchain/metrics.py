@@ -80,8 +80,6 @@ def _ngram_overlap(cand: list[str], ref: list[str], n: int) -> tuple[int, int, i
 
 
 def _lcs_len(a: list[str], b: list[str]) -> int:
-    if not a or not b:
-        return 0
     prev = [0] * (len(b) + 1)
     for x in a:
         cur = [0] * (len(b) + 1)

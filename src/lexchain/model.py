@@ -51,23 +51,29 @@ class ModelConfig:
 class Model:
     """Embedding table, chain-encoder and decoder weights under one namespace."""
 
-    def __init__(self, cfg: ModelConfig, table: EmbeddingTable, charges: list[str],
+    def __init__(self, cfg: ModelConfig, table: EmbeddingTable,
                  params: MutableMapping[str, Tensor]):
         self.cfg = cfg
         self.table = table
-        self.charges = list(charges)
         self.params = params
         # Greedy decoding's draft pool: each run of the last 1 .. DRAFT_KEY
-        # ids it emitted -> the id it emitted next (most recent wins).  Grows
-        # with the distinct contexts the model has emitted.  Never saved.
+        # ids it emitted -> the id it emitted next (most recent wins).  Cleared
+        # by a greedy decode that finds over DRAFT_POOL entries.  Never saved.
         self.drafts: dict[tuple[int, ...], int] = {}
 
     @property
     def vocab_size(self) -> int:
         return self.table.matrix.shape[0]
 
+    @property
+    def charges(self) -> list[str]:
+        """Each charge with an ``enc.charge.<c>.W``, auto-registered or not, sorted."""
+        return sorted(name[len(_CHARGE):-2] for name in self.params
+                      if name.startswith(_CHARGE) and name.endswith(".W"))
+
 
 _ATTENTION = ("Wq", "Wk", "Wv", "Wo")
+_CHARGE = "enc.charge."
 
 
 def _layout(cfg: ModelConfig, vocab_size: int,
@@ -134,7 +140,7 @@ def build_model(vocab: dict[str, int], charges: Sequence[str], cfg: ModelConfig,
             data = np.zeros(shape) if init == "zeros" else np.ones(shape)
         params[name] = Tensor(data, requires_grad=True, name=name)
     table = EmbeddingTable(vocab, params["embed"])
-    return Model(cfg, table, sorted(charges), params)
+    return Model(cfg, table, params)
 
 
 def param_shapes(cfg: ModelConfig, vocab_size: int,
@@ -347,6 +353,7 @@ class OpinionOutput:
 TOP_K = 10
 DRAFT_KEY = 6  # emitted ids a draft pool entry is keyed on, at most
 DRAFT_LEN = 12  # drafted ids verified per decoder call, at most
+DRAFT_POOL = 1 << 16  # draft pool entries past which a greedy decode first clears the pool
 
 
 def _sample(logits: np.ndarray, rng: np.random.Generator) -> int:
@@ -408,6 +415,8 @@ def generate(model: Model, combined: Tensor, n_chain_rows: int, max_len: int = 9
     params = model.params
     eos = model.table.vocab["<eos>"]
     greedy = mode == "greedy"
+    if greedy and len(model.drafts) > DRAFT_POOL:
+        model.drafts.clear()
     rng = np.random.default_rng(seed)
     prefix_len = combined.shape[0]
     limit = min(max_len, cfg.context - prefix_len)

@@ -495,7 +495,7 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     return _record(out, (table,), lambda g: (_RowGrad(idx, g),))
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout with a mask drawn from ``rng``; identity at rate 0."""
     if rate == 0.0:
         return a

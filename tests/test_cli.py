@@ -205,9 +205,10 @@ class TestExtractPrompt:
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_timeout_not_positive_and_finite_exits_two(self, tmp_path, monkeypatch, capsys,
                                                        source, timeout):
-        """``requests`` refuses such a timeout with a ValueError or an
-        OverflowError, which used to end in a traceback.  The client refuses
-        it before any request, so the endpoint is never contacted."""
+        """The socket layer refuses such a timeout with a ValueError or an
+        OverflowError (0 would make the socket non-blocking), which used to
+        end in a traceback.  The client refuses it before any request, so
+        the endpoint is never contacted."""
         provision = tmp_path / "provision.txt"
         provision.write_text("robbery provision", encoding="utf-8")
         args = ["extract-prompt", "--charge", "robbery", "--provision-file", str(provision),
@@ -937,6 +938,36 @@ class TestNonUtf8Inputs:
         err = capsys.readouterr().err
         assert err.startswith("usage error: " if code == 1 else "error: ")
         assert "not UTF-8 text" in err and "Traceback" not in err
+
+
+class TestBooleanIsNotAnInteger:
+    """A JSON boolean where an integer is required exits 2 with one line
+    naming where it is."""
+
+    @pytest.mark.parametrize("key", ["min_months", "max_months"])
+    def test_chain_file_month_bound(self, workspace, tmp_path, capsys, key):
+        doc = json.loads((workspace["chains"] / "dangerous_driving.json").read_text(
+            encoding="utf-8"))
+        doc["chains"][0]["conclusion"][key] = True
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate-chains", "--chains", str(bad),
+                     "--out", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"key '{key}' must be int (field 'chains[0].conclusion.{key}')" in err
+
+    def test_corpus_sentencing_span(self, workspace, tmp_path, capsys):
+        lines = workspace["corpus"].read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[1])
+        row["sentencing_span"] = [False, 5]
+        bad = tmp_path / "bool.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(row)]) + "\n", encoding="utf-8")
+        assert main(["screen", "--corpus", str(bad), "--chains", str(workspace["chains"]),
+                     "--out", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "sentencing_span must be [start, end] (line 2, field 'sentencing_span')" in err
 
 
 class TestByteReproducibility:

@@ -115,6 +115,12 @@ class TestFailureModes:
         with pytest.raises(EvaluationError, match="not JSON"):
             CompletionClient(stub_server).complete("x")
 
+    def test_json_nested_too_deeply(self, stub_server):
+        _StubHandler.script = {"status": 200, "body": "[" * 100000 + "]" * 100000,
+                               "content_type": "application/json"}
+        with pytest.raises(EvaluationError, match="not JSON"):
+            CompletionClient(stub_server).complete("x")
+
     def test_missing_text_field(self, stub_server):
         _StubHandler.script["body"] = json.dumps({"completion": "wrong key"})
         with pytest.raises(EvaluationError, match="'text'"):

@@ -985,6 +985,34 @@ class TestDrafting:
         assert model.drafts == pool
         assert len(pool) <= DRAFT_KEY * sum(map(len, cold))
 
+    def test_a_pool_over_the_cap_is_cleared_and_tokens_stay(self, monkeypatch):
+        """Past ``DRAFT_POOL`` entries a greedy decode clears the pool first:
+        the pool then holds at most the cap plus one decode's entries, and
+        every decode emits a cold decode's tokens."""
+        model, chains, cases = _trained_fixture()
+        cold = []
+        for case in cases:
+            model.drafts.clear()
+            cold.append(decode_case(model, case, chains, max_len=30).token_ids)
+
+        class Pool(dict):
+            clears = 0
+
+            def clear(self):
+                Pool.clears += 1
+                super().clear()
+
+        model.drafts = Pool()
+        monkeypatch.setattr(model_module, "DRAFT_POOL", 10)
+        for _ in range(3):
+            for case, tokens in zip(cases, cold):
+                over = len(model.drafts) > 10
+                clears = Pool.clears
+                assert decode_case(model, case, chains, max_len=30).token_ids == tokens
+                assert Pool.clears == clears + over
+                assert len(model.drafts) <= 10 + DRAFT_KEY * len(tokens)
+        assert Pool.clears == 3 * len(cases) - 1
+
     def test_the_longest_held_key_drafts(self, monkeypatch):
         """With every one-id key pointing at a wrong id, the longer keys still
         draft a repeated decode: after its first two tokens, one call
@@ -1150,13 +1178,13 @@ class TestCheckpoint:
                 load_checkpoint(path)
 
     def test_auto_registered_charge_round_trips(self, tmp_path):
-        """A charge added by training's auto-registration is not listed among
-        the model's charges, yet its weights are saved and load back."""
+        """A charge added by training's auto-registration is listed among the
+        model's charges, and its weights are saved and load back."""
         model, chains, cases = _fixture()
         foreign = ChainSet(charge="othercharge", chains=chains.chains)
         joint_loss([(cases[0], foreign)], model)
         assert "enc.charge.othercharge.W" in model.params
-        assert model.charges == ["toyoffense"]
+        assert model.charges == ["othercharge", "toyoffense"]
         path = tmp_path / "model.zip"
         save_checkpoint(path, model)
         loaded, _ = load_checkpoint(path)

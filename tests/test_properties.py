@@ -123,6 +123,42 @@ def test_load_jsonl_raises_only_package_errors(lines):
             pass
 
 
+# A value for an integer field: any JSON value, booleans made common.
+_int_field_values = st.one_of(st.booleans(), st.integers(-2, 50), json_values)
+
+
+@DETERMINISTIC
+@given(st.sampled_from(["min_months", "max_months"]), _int_field_values)
+def test_chain_file_months_load_as_int_or_raise(key, value):
+    """A JSON boolean is never read as an integer month figure."""
+    doc = json.loads(json.dumps(_CHAIN_FILE))
+    doc["chains"][0]["conclusion"][key] = value
+    try:
+        conclusion = parse_chain_file(json.dumps(doc)).chains[0].conclusion
+    except LexchainError:
+        return
+    assert type(conclusion.min_months) is int and type(conclusion.max_months) is int
+
+
+@DETERMINISTIC
+@given(st.one_of(
+    st.tuples(st.just("sentence_months"), _int_field_values),
+    st.tuples(st.just("sentencing_span"),
+              st.one_of(json_values, st.lists(_int_field_values, min_size=2, max_size=2)))))
+def test_corpus_integers_load_as_int_or_raise(field_value):
+    """A JSON boolean is never read as a months figure or a span end."""
+    key, value = field_value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cases.jsonl"
+        path.write_text(json.dumps({**_CASE, key: value}) + "\n", encoding="utf-8")
+        try:
+            [record] = load_jsonl(path)
+        except LexchainError:
+            return
+    assert type(record.sentence_months) is int
+    assert record.sentencing_span is None or [type(v) for v in record.sentencing_span] == [int, int]
+
+
 @pytest.mark.parametrize("reader", ["chain file", "corpus"])
 def test_integer_past_the_digit_limit_is_a_package_error(reader, tmp_path):
     """Python refuses to convert an integer literal of more than 4300 digits;
