@@ -26,7 +26,7 @@ print(f"charge: {cs.charge}  ({len(cs.chains)} chains)")
 for chain in cs.chains:
     rng = chain.conclusion
     print(f"  [{rng.label}] {rng.min_months}-{rng.max_months} months;"
-          f" premise: {chain.premise_text}")
+          f" premise: {chain.texts[0]}")
 
 # A model bundles the embedding table and every encoder/decoder parameter.
 cfg = ModelConfig(d=32, enc_heads=4, dec_heads=4, layers=1, context=256)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -222,19 +223,16 @@ class SentencingRange:
 
 @dataclass(frozen=True)
 class LegalChain:
-    premise_text: str
     premise: ConditionExpr
-    situation_text: str
     situation: ConditionExpr
     conclusion: SentencingRange
     source_provision: str = ""
 
-    def __post_init__(self):
-        if not self.premise_text.strip() or not self.situation_text.strip():
-            raise ValidationError("premise and situation display texts must be non-empty")
-
-    def conclusion_text(self) -> str:
-        return self.conclusion.text()
+    @cached_property
+    def texts(self) -> tuple[str, str, str]:
+        """Premise, situation and conclusion texts in the encoder's slot order,
+        rendered once per chain."""
+        return expr_to_text(self.premise), expr_to_text(self.situation), self.conclusion.text()
 
     def predicate_labels(self) -> list[str]:
         """Premise labels followed by situation labels (normalized, deduped)."""
@@ -280,15 +278,9 @@ def charge_chains(library: Mapping[str, ChainSet], charges: list[str],
 
 def chain_from_text(premise_text: str, situation_text: str, conclusion: SentencingRange,
                     source_provision: str = "") -> LegalChain:
-    """Build a chain whose condition trees are parsed from infix display text."""
-    return LegalChain(
-        premise_text=premise_text.strip(),
-        premise=parse_infix(premise_text),
-        situation_text=situation_text.strip(),
-        situation=parse_infix(situation_text),
-        conclusion=conclusion,
-        source_provision=source_provision,
-    )
+    """Build a chain whose condition trees are parsed from infix text."""
+    return LegalChain(parse_infix(premise_text), parse_infix(situation_text), conclusion,
+                      source_provision)
 
 
 # ---------------------------------------------------------------------------
@@ -314,34 +306,26 @@ def parse_chain_file(text: str) -> ChainSet:
         premise = require(raw, "premise", dict, where=where)
         situation = require(raw, "situation", dict, where=where)
         conclusion = require(raw, "conclusion", dict, where=where)
-        p_text = require(premise, "text", str, where=f"{where}.premise")
-        s_text = require(situation, "text", str, where=f"{where}.situation")
         lo = require(conclusion, "min_months", int, where=f"{where}.conclusion")
         hi = require(conclusion, "max_months", int, where=f"{where}.conclusion")
-        label = conclusion.get("label", "")
-        if not isinstance(label, str):
-            raise ParseError("label must be a string", field=f"{where}.conclusion.label")
+        label = (require(conclusion, "label", str, where=f"{where}.conclusion")
+                 if "label" in conclusion else "")
         try:
             sentencing = SentencingRange(lo, hi, label)
         except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from None
-        source = raw.get("source_provision", "")
-        if not isinstance(source, str):
-            raise ParseError("source_provision must be a string", field=f"{where}.source_provision")
+        source = (require(raw, "source_provision", str, where=where)
+                  if "source_provision" in raw else "")
         chains.append(
             LegalChain(
-                premise_text=p_text,
                 premise=expr_from_json(require(premise, "expr", dict, where=f"{where}.premise"), f"{where}.premise.expr"),
-                situation_text=s_text,
                 situation=expr_from_json(require(situation, "expr", dict, where=f"{where}.situation"), f"{where}.situation.expr"),
                 conclusion=sentencing,
                 source_provision=source,
             )
         )
     lexicon = {}
-    raw_lex = doc.get("lexicon", {})
-    if not isinstance(raw_lex, dict):
-        raise ParseError("lexicon must be an object", field="lexicon")
+    raw_lex = require(doc, "lexicon", dict, where="$") if "lexicon" in doc else {}
     for key, phrases in raw_lex.items():
         if not isinstance(phrases, list) or not all(isinstance(p, str) for p in phrases):
             raise ParseError("lexicon values must be lists of strings", field=f"lexicon.{key}")
@@ -354,8 +338,8 @@ def serialize_chain_set(cs: ChainSet) -> str:
         "charge": cs.charge,
         "chains": [
             {
-                "premise": {"text": c.premise_text, "expr": expr_to_json(c.premise)},
-                "situation": {"text": c.situation_text, "expr": expr_to_json(c.situation)},
+                "premise": {"expr": expr_to_json(c.premise)},
+                "situation": {"expr": expr_to_json(c.situation)},
                 "conclusion": {
                     "min_months": c.conclusion.min_months,
                     "max_months": c.conclusion.max_months,
@@ -441,7 +425,7 @@ def validate_chain_set(cs: ChainSet) -> ValidationReport:
         shared = chain.shared_labels()
         if shared:
             separation.append(f"chain {i}: premise and situation share labels {shared}")
-        for part, text in (("premise", chain.premise_text), ("situation", chain.situation_text)):
+        for part, text in zip(("premise", "situation"), chain.texts):
             hits = sorted({t for t in tokenize(text.casefold()) if t in PRONOUN_STOPLIST})
             if hits:
                 specificity.append(f"chain {i} {part}: pronoun tokens {hits}")

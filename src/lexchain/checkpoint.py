@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import SPECIAL_TOKENS, EmbeddingTable
-from .errors import ValidationError, parse_json
+from .errors import ValidationError, is_a, parse_json
 from .model import Model, ModelConfig, param_shapes
 from .tensor import Tensor
 
@@ -87,6 +87,8 @@ def load_checkpoint(path: str | Path) -> tuple[Model, dict]:
         params: dict[str, Tensor] = {}
         for spec in manifest["params"]:
             arr = _read_array(zf, path, spec)
+            if spec["name"] in params:
+                raise ValidationError(f"{path} manifest lists array {spec['name']!r} more than once")
             if list(arr.shape) != spec["shape"]:
                 raise ValidationError(
                     f"checkpoint array {spec['name']!r} has shape {arr.shape}, "
@@ -118,6 +120,8 @@ def _read_manifest(zf: zipfile.ZipFile, path: str | Path) -> dict:
     if type(version) is not int or version not in (1, FORMAT_VERSION):
         raise ValidationError(f"unsupported checkpoint format {version!r}")
     _check_keys(manifest, _MANIFEST_KEYS, _MANIFEST_KEYS | {"extra"}, f"{path} manifest")
+    if not isinstance(manifest.get("extra", {}), dict):
+        raise ValidationError(f"{path} manifest extra is not an object")
     if not all(isinstance(manifest[key], list) for key in ("vocab", "charges", "params")):
         raise ValidationError(f"{path} manifest vocab, charges and params must be lists")
     if not all(isinstance(item, str) for key in ("vocab", "charges") for item in manifest[key]):
@@ -135,6 +139,8 @@ def _read_manifest(zf: zipfile.ZipFile, path: str | Path) -> dict:
     _check_keys(config, _CONFIG_KEYS, _CONFIG_KEYS, f"{path} manifest config")
     if not all(type(v) is int for v in config.values()):
         raise ValidationError(f"{path} manifest config values must be integers: {config}")
+    if config["layers"] > len(manifest["params"]):  # each layer holds several arrays
+        raise ValidationError(f"{path} manifest config has more layers than params entries")
     return manifest
 
 
@@ -184,7 +190,8 @@ def _check_keys(obj: dict, required: set[str], allowed: set[str], what: str) -> 
 
 def _read_array(zf: zipfile.ZipFile, path: str | Path, spec) -> np.ndarray:
     if (not isinstance(spec, dict) or not {"name", "file", "shape"} <= set(spec)
-            or not isinstance(spec["name"], str)):
+            or not all(is_a(spec[key], kind)
+                       for key, kind in (("name", str), ("file", str), ("shape", list)))):
         raise ValidationError(f"{path} manifest has a malformed params entry: {spec!r}")
     try:
         arr = np.load(io.BytesIO(zf.read(spec["file"])), allow_pickle=False)

@@ -162,8 +162,7 @@ def _encode_pooled(chains: Sequence[LegalChain], table: EmbeddingTable,
     each chain, add the residual and mean-pool: n x d, plus the (heads, 3n, 3n)
     attention probabilities."""
     n = len(chains)
-    texts = [text for chain in chains
-             for text in (chain.premise_text, chain.situation_text, chain.conclusion_text())]
+    texts = [text for chain in chains for text in chain.texts]
     h = embed_components(texts, table)
     mask, pool = _chain_constants(n)
     attn_out, probs = attention(h, params, "enc.attn", heads, mask)

@@ -138,9 +138,7 @@ def training_vocab(train_records: list[CaseRecord], library: Mapping[str, ChainS
     extra: set[str] = set()
     for cs in library.values():
         for chain in cs.chains:
-            texts.append(chain.premise_text)
-            texts.append(chain.situation_text)
-            texts.append(chain.conclusion_text())
+            texts.extend(chain.texts)
             extra.update(str(m) for m in range(chain.conclusion.min_months,
                                                chain.conclusion.max_months + 1))
     extra.update(str(d) for d in range(1, 29))
@@ -465,7 +463,7 @@ def _gradcheck_fixture(d: int, heads: int, layers: int, seed: int):
     ]
     texts = [cases[0].fact, cases[0].opinion, cases[1].fact, cases[1].opinion]
     for chain in chains.chains:
-        texts += [chain.premise_text, chain.situation_text, chain.conclusion_text()]
+        texts += chain.texts
     vocab = build_vocab(texts)
     cfg = ModelConfig(d=d, enc_heads=heads, dec_heads=heads, layers=layers, context=48)
     model = build_model(vocab, ["toyoffense"], cfg, seed)

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -205,6 +206,47 @@ class TestChainFiles:
         assert again.charge == cs.charge
         assert again.chains == cs.chains
         assert again.lexicon == cs.lexicon
+
+    def test_each_condition_is_stored_once_as_its_tree(self):
+        doc = json.loads(serialize_chain_set(_toy_chain_set()))
+        for chain in doc["chains"]:
+            assert chain["premise"] == {"expr": {"and": [{"pred": "used violence"},
+                                                         {"pred": "seized property"}]}}
+            assert list(chain["situation"]) == ["expr"]
+
+    @pytest.mark.parametrize("name", sorted(
+        f.name for f in (resources.files("lexchain") / "data" / "chains").iterdir()
+        if f.name.endswith(".json")))
+    def test_shipped_file_is_a_fixed_point_of_parse_and_serialize(self, name):
+        text = (resources.files("lexchain") / "data" / "chains" / name).read_text(encoding="utf-8")
+        assert serialize_chain_set(parse_chain_file(text)) == text
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["chains"][0]["conclusion"].update(label=3),
+         "key 'label' must be str (field 'chains[0].conclusion.label')"),
+        (lambda d: d["chains"][1].update(source_provision=None),
+         "key 'source_provision' must be str (field 'chains[1].source_provision')"),
+        (lambda d: d.update(lexicon=["used violence"]),
+         "key 'lexicon' must be dict (field '$.lexicon')"),
+        (lambda d: d["lexicon"].update({"used violence": "punched the victim"}),
+         "lexicon values must be lists of strings (field 'lexicon.used violence')"),
+        (lambda d: d["lexicon"].update({"used violence": [True]}),
+         "lexicon values must be lists of strings (field 'lexicon.used violence')"),
+    ], ids=["label", "source_provision", "lexicon", "lexicon-value", "lexicon-item"])
+    def test_optional_keys_follow_the_typed_key_rule(self, edit, message):
+        doc = json.loads(serialize_chain_set(_toy_chain_set()))
+        edit(doc)
+        with pytest.raises(ParseError) as exc:
+            parse_chain_file(json.dumps(doc))
+        assert str(exc.value) == message
+
+    def test_optional_keys_may_be_left_out(self):
+        doc = json.loads(serialize_chain_set(_toy_chain_set()))
+        del doc["lexicon"], doc["chains"][0]["source_provision"]
+        del doc["chains"][0]["conclusion"]["label"]
+        cs = parse_chain_file(json.dumps(doc))
+        assert cs.lexicon == {}
+        assert cs.chains[0].source_provision == cs.chains[0].conclusion.label == ""
 
     def test_serialized_form_is_sorted_json(self):
         doc = json.loads(serialize_chain_set(_toy_chain_set()))

@@ -645,6 +645,37 @@ class TestCorruptCheckpoint:
         assert expected.format(index=tuple(int(i) for i in index),
                                first=(0,) * len(shape)) in err
 
+    @pytest.mark.parametrize("edit, expected", [
+        (lambda m: m["params"][0].update(file=[m["params"][0]["file"]]),
+         "malformed params entry"),
+        (lambda m: m["params"][0].update(file={m["params"][0]["file"]: 1}),
+         "malformed params entry"),
+        (lambda m: m["params"][0].update(shape=None), "malformed params entry"),
+        (lambda m: m["params"].append(dict(m["params"][0])), "more than once"),
+        (lambda m: m.update(extra=7), "manifest extra is not an object"),
+        (lambda m: m.update(extra=["train_config"]), "manifest extra is not an object"),
+    ], ids=["file-array", "file-object", "shape-null", "repeated-name", "extra-int",
+            "extra-array"])
+    def test_malformed_manifest_entry_names_the_archive(self, workspace, tmp_path, capsys,
+                                                         edit, expected):
+        """A params entry whose ``file`` is not a string or whose ``shape`` is not
+        a list, a name listed twice, and an ``extra`` that is not an object each
+        exit 2 with one line naming the archive."""
+        ckpt = _corrupted_checkpoint(workspace["checkpoint"], tmp_path / "m.ckpt", edit=edit)
+        code, err = self._generate(workspace, ckpt, capsys)
+        assert code == 2
+        assert err.count("\n") == 1
+        assert str(ckpt) in err and expected in err
+
+    def test_more_layers_than_arrays(self, workspace, tmp_path, capsys):
+        """A layer count no archive could hold is refused before the expected
+        layout, which grows with it, is built."""
+        ckpt = _corrupted_checkpoint(workspace["checkpoint"], tmp_path / "m.ckpt",
+                                     edit=lambda m: m["config"].update(layers=10 ** 4))
+        code, err = self._generate(workspace, ckpt, capsys)
+        assert code == 2
+        assert "config has more layers than params entries" in err
+
     def test_untouched_copy_still_loads(self, workspace, tmp_path, capsys):
         ckpt = _corrupted_checkpoint(workspace["checkpoint"], tmp_path / "m.ckpt")
         code, err = self._generate(workspace, ckpt, capsys)

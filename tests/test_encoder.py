@@ -1,13 +1,16 @@
 """Chain encoder: vocabulary, attention, gating, fusion, and a full oracle."""
 
 import dataclasses
+import json
 import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from lexchain.chains import ChainSet, SentencingRange, chain_from_text, load_chain_library
+from lexchain.chains import (ChainSet, SentencingRange, chain_from_text, expr_to_text,
+                             load_chain_library, parse_chain_file, serialize_chain_set,
+                             validate_chain_set)
 from lexchain.encoder import (
     EOS_ID,
     PAD_ID,
@@ -52,7 +55,7 @@ def _fixture(d=8, heads=2, seed=0, charges=("robbery", "theft")):
     cs = _chain_set()
     texts = []
     for c in cs.chains:
-        texts += [c.premise_text, c.situation_text, c.conclusion_text()]
+        texts += c.texts
     vocab = build_vocab(texts)
     cfg = ModelConfig(d=d, enc_heads=heads, dec_heads=heads, layers=1, context=32)
     model = build_model(vocab, list(charges), cfg, seed)
@@ -150,11 +153,8 @@ class TestAttention:
             if name.startswith("enc.attn.") and (".Wv" in name or ".Wo" in name):
                 t.data[...] = 0.0
         r, _ = encode_chain(cs.chains[0], model.table, model.params, model.cfg.enc_heads)
-        h = np.concatenate([
-            embed_components([cs.chains[0].premise_text], model.table).data,
-            embed_components([cs.chains[0].situation_text], model.table).data,
-            embed_components([cs.chains[0].conclusion_text()], model.table).data,
-        ])
+        h = np.concatenate([embed_components([text], model.table).data
+                            for text in cs.chains[0].texts])
         np.testing.assert_allclose(r.data, h.mean(axis=0, keepdims=True), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -188,23 +188,23 @@ class TestAttention:
         assert isinstance(probs, np.ndarray)
         np.testing.assert_allclose(probs.sum(axis=2), np.ones((2, 3)), atol=1e-12)
         _, w = encode_chain(cs.chains[0], model.table, model.params, 2)
-        h_chain = concat([embed_components([text], model.table) for text in (
-            cs.chains[0].premise_text, cs.chains[0].situation_text,
-            cs.chains[0].conclusion_text())], axis=0)
+        h_chain = concat([embed_components([text], model.table)
+                          for text in cs.chains[0].texts], axis=0)
         _, chain_probs = attention(h_chain, model.params, "enc.attn", 2)
         np.testing.assert_array_equal(w, chain_probs.mean(axis=0))
 
 
 def _oracle_encode(chain, charge, table, params, heads):
-    """Independent numpy re-derivation of the full per-chain encoding."""
+    """Independent numpy re-derivation of the full per-chain encoding; it renders
+    the component texts itself rather than reading ``chain.texts``."""
     def mean_embed(text):
         ids = table.encode(text)
         return table.matrix.data[ids].mean(axis=0, keepdims=True)
 
     h = np.concatenate([
-        mean_embed(chain.premise_text),
-        mean_embed(chain.situation_text),
-        mean_embed(chain.conclusion_text()),
+        mean_embed(expr_to_text(chain.premise)),
+        mean_embed(expr_to_text(chain.situation)),
+        mean_embed(chain.conclusion.text()),
     ])
     d = h.shape[1]
     dh = d // heads
@@ -237,7 +237,7 @@ def _library_fixture(charge, d=8, heads=2, seed=0):
     cs = _LIBRARY[charge]
     texts = []
     for c in cs.chains:
-        texts += [c.premise_text, c.situation_text, c.conclusion_text()]
+        texts += c.texts
     cfg = ModelConfig(d=d, enc_heads=heads, dec_heads=heads, layers=1, context=32)
     return cs, build_model(build_vocab(texts), [charge], cfg, seed)
 
@@ -272,18 +272,38 @@ class TestFullEncodingOracle:
             np.testing.assert_allclose(encoded.e_chain.data[i:i + 1], expected, atol=1e-12)
 
     def test_chains_do_not_attend_to_each_other(self):
-        """Perturbing one chain's premise moves only that chain's row."""
+        """Perturbing one chain's premise tree moves only that chain's row."""
         cs, model = _library_fixture("theft")
         before = encode_chain_set(cs, model.table, model.params, 2).e_chain.data
         for j, chain in enumerate(cs.chains):
             perturbed = list(cs.chains)
             perturbed[j] = dataclasses.replace(
-                chain, premise_text=cs.chains[(j + 1) % len(cs.chains)].situation_text)
+                chain, premise=cs.chains[(j + 1) % len(cs.chains)].situation)
             after = encode_chain_set(ChainSet(charge=cs.charge, chains=perturbed),
                                      model.table, model.params, 2).e_chain.data
             assert not np.allclose(after[j], before[j])
             others = [i for i in range(len(cs.chains)) if i != j]
             np.testing.assert_allclose(after[others], before[others], rtol=0, atol=1e-12)
+
+    def test_a_stale_text_key_is_ignored(self):
+        """A chain file from before texts were rendered may carry a ``text``
+        beside each ``expr``.  A ``text`` that disagrees with its tree changes
+        nothing: the chain's texts are the rendering of ``expr``, it encodes
+        exactly like the file without ``text``, and validation reads the tree."""
+        cs, model = _library_fixture("theft")
+        doc = json.loads(serialize_chain_set(cs))
+        for chain in doc["chains"]:
+            chain["premise"]["text"] = "the amount stolen was relatively large"
+            chain["situation"]["text"] = "he took it"
+        stale = parse_chain_file(json.dumps(doc))
+        assert stale == cs
+        for chain in stale.chains:
+            assert chain.texts == (expr_to_text(chain.premise), expr_to_text(chain.situation),
+                                   chain.conclusion.text())
+        np.testing.assert_array_equal(
+            encode_chain_set(stale, model.table, model.params, 2).e_chain.data,
+            encode_chain_set(cs, model.table, model.params, 2).e_chain.data)
+        assert validate_chain_set(stale).ok
 
     def test_attention_diagnostics_one_per_chain(self):
         cs, model = _fixture()

@@ -107,7 +107,7 @@ def _fixture(d=16, heads=2, layers=2, context=48, seed=0):
     cases = _cases()
     texts = [c.fact for c in cases] + [c.opinion for c in cases]
     for chain in chains.chains:
-        texts += [chain.premise_text, chain.situation_text, chain.conclusion_text()]
+        texts += chain.texts
     vocab = build_vocab(texts)
     cfg = ModelConfig(d=d, enc_heads=heads, dec_heads=heads, layers=layers,
                       context=context)

@@ -1,24 +1,32 @@
 """Property tests of the condition-text parser, the JSON input boundaries,
-the extraction-response parser and the CLI's config file, with Hypothesis.
+the extraction-response parser, checkpoint archives and the CLI's config
+file, with Hypothesis.
 
 Every property is derandomized with a fixed example budget and no example
 database, so every run draws the same examples.
 """
 
+import io
 import json
 import re
 import tempfile
+import zipfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from lexchain.chains import (MAX_NESTING, ChainSet, Node, Predicate, SentencingRange,
-                             chain_from_text, expr_to_text, parse_chain_file,
+from lexchain.chains import (MAX_NESTING, ChainSet, LegalChain, Node, Predicate,
+                             SentencingRange, chain_from_text, expr_to_text, parse_chain_file,
                              parse_extraction_response, parse_infix, serialize_chain_set)
+from lexchain.checkpoint import load_checkpoint, save_checkpoint
 from lexchain.cli import CONFIG_ENV, build_parser, main
 from lexchain.corpus import load_jsonl
+from lexchain.encoder import build_vocab
 from lexchain.errors import LexchainError, ParseError
+from lexchain.model import ModelConfig, build_model, param_shapes
 
 DETERMINISTIC = settings(derandomize=True, max_examples=300, database=None, deadline=None)
 
@@ -61,6 +69,15 @@ def test_parse_infix_raises_only_package_errors(text):
         return
     assert isinstance(expr, (Predicate, Node))
     assert parse_infix(expr_to_text(expr)) == expr
+
+
+@DETERMINISTIC
+@given(condition_trees, condition_trees)
+def test_any_condition_tree_survives_a_chain_file(premise, situation):
+    chain = LegalChain(premise, situation, SentencingRange(1, 6, "base"), "Provision 1")
+    loaded = parse_chain_file(serialize_chain_set(ChainSet(charge="toy", chains=[chain])))
+    assert loaded.chains == (chain,)
+    assert loaded.chains[0].texts == chain.texts
 
 
 @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 2000])
@@ -172,6 +189,84 @@ def test_integer_past_the_digit_limit_is_a_package_error(reader, tmp_path):
             path.write_text(json.dumps(_CASE)[:-1] + f', "sentence_months": {huge}}}\n',
                             encoding="utf-8")
             load_jsonl(path)
+
+
+def _small_archive():
+    """The manifest and the members of a small valid checkpoint."""
+    model = build_model(build_vocab(["the man took goods"]), ["toy"],
+                        ModelConfig(d=4, enc_heads=2, dec_heads=2, layers=1, context=8), 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.zip"
+        save_checkpoint(path, model, extra={"epoch": 1})
+        with zipfile.ZipFile(path) as zf:
+            members = {name: zf.read(name) for name in zf.namelist()}
+    shapes = param_shapes(model.cfg, model.vocab_size, model.charges)
+    return json.loads(members.pop("manifest.json")), members, shapes
+
+
+_MANIFEST, _MEMBERS, _SHAPES = _small_archive()
+_ENTRIES = len(_MANIFEST["params"])
+# Where one manifest value can be set: each top-level key, each config key and
+# each key of each params entry, drawn as often as all the params entries' keys.
+_MANIFEST_PATHS = st.one_of(
+    st.sampled_from([(key,) for key in sorted(_MANIFEST)]
+                    + [("config", key) for key in sorted(_MANIFEST["config"])]),
+    st.sampled_from([("params", i, key) for i in range(_ENTRIES)
+                     for key in ("name", "file", "shape")]))
+_small_arrays = hnp.arrays(
+    st.one_of(st.just(np.dtype("<f8")), hnp.scalar_dtypes(), hnp.floating_dtypes(endianness=">"),
+              hnp.unicode_string_dtypes(max_len=3), hnp.byte_string_dtypes(max_len=3)),
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+_archive_mutations = st.one_of(
+    st.tuples(st.sampled_from(["drop", "repeat"]), st.integers(0, _ENTRIES - 1)),
+    st.tuples(st.just("set"), _MANIFEST_PATHS, json_values),
+    st.tuples(st.just("array"), st.integers(0, _ENTRIES - 1), _small_arrays),
+)
+
+
+def _mutated_archive(path, mutation):
+    manifest = json.loads(json.dumps(_MANIFEST))
+    members = dict(_MEMBERS)
+    kind, where, *value = mutation
+    if kind == "drop":
+        del manifest["params"][where]
+    elif kind == "repeat":
+        manifest["params"].insert(where, dict(manifest["params"][where]))
+    elif kind == "set":
+        *parents, key = where
+        target = manifest
+        for step in parents:
+            target = target[step]
+        target[key] = value[0]
+    else:
+        buf = io.BytesIO()
+        np.save(buf, value[0], allow_pickle=False)
+        members[manifest["params"][where]["file"]] = buf.getvalue()
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("manifest.json", json.dumps(manifest))
+        for name, data in members.items():
+            zf.writestr(name, data)
+
+
+@DETERMINISTIC
+@given(_archive_mutations)
+def test_a_mutated_archive_loads_whole_or_raises(mutation):
+    """A valid checkpoint with one manifest value set to any JSON value, or one
+    array replaced by any small array, loads as a model of finite ``<f8``
+    parameters of the expected shapes with a dict ``extra``, or raises a
+    package error.  One with a params entry dropped or repeated always raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.zip"
+        _mutated_archive(path, mutation)
+        try:
+            model, extra = load_checkpoint(path)
+        except LexchainError:
+            return
+    assert mutation[0] not in ("drop", "repeat")
+    assert isinstance(extra, dict)
+    assert {name: t.shape for name, t in model.params.items()} == _SHAPES
+    for t in model.params.values():
+        assert t.data.dtype.str == "<f8" and np.isfinite(t.data).all()
 
 
 # Extraction responses: chain blocks, mostly well formed, with condition text
