@@ -294,10 +294,10 @@ def parse_chain_file(text: str) -> ChainSet:
         f"chain file is not valid JSON: {reason}", line=line))
     if not isinstance(doc, dict):
         raise ParseError("chain file must be a JSON object", field="$")
-    charge = require(doc, "charge", str, where="$")
+    charge = require(doc, "charge", str)
     if not charge.strip():
         raise ParseError("charge must be non-empty", field="charge")
-    raw_chains = require(doc, "chains", list, where="$")
+    raw_chains = require(doc, "chains", list)
     chains: list[LegalChain] = []
     for i, raw in enumerate(raw_chains):
         where = f"chains[{i}]"
@@ -325,7 +325,7 @@ def parse_chain_file(text: str) -> ChainSet:
             )
         )
     lexicon = {}
-    raw_lex = require(doc, "lexicon", dict, where="$") if "lexicon" in doc else {}
+    raw_lex = require(doc, "lexicon", dict) if "lexicon" in doc else {}
     for key, phrases in raw_lex.items():
         if not isinstance(phrases, list) or not all(isinstance(p, str) for p in phrases):
             raise ParseError("lexicon values must be lists of strings", field=f"lexicon.{key}")

@@ -91,7 +91,7 @@ def load_checkpoint(path: str | Path) -> tuple[Model, dict]:
                 raise ValidationError(f"{path} manifest lists array {spec['name']!r} more than once")
             if list(arr.shape) != spec["shape"]:
                 raise ValidationError(
-                    f"checkpoint array {spec['name']!r} has shape {arr.shape}, "
+                    f"{path} array {spec['name']!r} has shape {arr.shape}, "
                     f"manifest says {spec['shape']}"
                 )
             params[spec["name"]] = Tensor(arr, requires_grad=True, name=spec["name"])

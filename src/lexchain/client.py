@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from http.client import HTTPException
-from urllib.error import HTTPError
-from urllib.request import Request, urlopen
 
 from .errors import ContractError, EvaluationError, parse_json
 
@@ -35,8 +32,13 @@ class CompletionClient:
 
         Transport failures, non-2xx statuses, bad JSON, and responses missing
         the ``text`` field all surface as :class:`EvaluationError` so callers
-        can treat the endpoint as a single fallible dependency.
+        can treat the endpoint as a single fallible dependency.  The HTTP and
+        TLS modules load on the first call, so ``import lexchain`` needs none.
         """
+        from http.client import HTTPException
+        from urllib.error import HTTPError
+        from urllib.request import Request, urlopen
+
         if not prompt:
             raise ContractError("prompt must be non-empty")
         headers = {"Content-Type": "application/json"}

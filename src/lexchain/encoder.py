@@ -53,7 +53,7 @@ class EmbeddingTable:
     Each text is tokenized once per table: :meth:`encode` keeps its ids, and
     ``targets`` holds :func:`model._case_target`'s result per (opinion,
     sentencing span).  Both grow with the distinct texts the table has seen
-    and live as long as it does.
+    until :meth:`clear_memos` empties them.
     """
 
     def __init__(self, vocab: dict[str, int], matrix: Tensor):
@@ -79,6 +79,11 @@ class EmbeddingTable:
             unk = self.vocab.get(UNK_TOKEN, UNK_ID)
             ids = self._ids[text] = tuple(self.vocab.get(tok, unk) for tok in tokenize(text))
         return list(ids)
+
+    def clear_memos(self) -> None:
+        """Forget every text's ids and every case target."""
+        self._ids.clear()
+        self.targets.clear()
 
     def decode(self, ids: Iterable[int]) -> list[str]:
         return [self.id_to_token[i] for i in ids]

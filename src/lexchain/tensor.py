@@ -425,7 +425,8 @@ def attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     if mask is not None:
         scores += mask
     scores -= scores.max(axis=-1, keepdims=True)
-    if mask is None:
+    if mask is None or (cache is not None and start):
+        # A drafted call's few masked scores cost less than skipping them.
         probs = np.exp(scores, out=scores)
     else:
         # A masked score's exp is exactly 0.0 but slow to compute.  Skip it,

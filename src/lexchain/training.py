@@ -157,13 +157,17 @@ class TrainResult:
 def _share(batch, scored: slice, model: Model, cfg: TrainConfig, rng: np.random.Generator,
            grads: np.ndarray) -> tuple[float, ...]:
     """The (total, reasoning, sentencing) loss of :func:`joint_loss` over
-    ``batch[scored]``, one tape and sweep; gradients go into the flat ``grads``."""
+    ``batch[scored]``, one tape and sweep; gradients go into the flat ``grads``
+    and leave no ``.grad`` behind, so that the arena holds the only copy."""
     with Tape() as tape:
         tape.watch(*model.params.values())
         losses = joint_loss(batch, model, cfg.alpha, cfg.beta, dropout_rate=cfg.dropout, rng=rng,
                             scored=scored)
         backward(tape, losses.total)
-    np.concatenate([model.params[name].grad.ravel() for name in sorted(model.params)], out=grads)
+    leaves = [model.params[name] for name in sorted(model.params)]
+    np.concatenate([leaf.grad.ravel() for leaf in leaves], out=grads)
+    for leaf in leaves:
+        leaf.grad = None
     return losses.total.item(), losses.reasoning.item(), losses.sentencing.item()
 
 
@@ -382,6 +386,8 @@ def train(split: CorpusSplit, library: Mapping[str, ChainSet], cfg: TrainConfig,
                                 extra={"train_config": cfg.to_dict(), "epoch": epoch})
             if log_path is not None:
                 _write_log(log_path, log_rows)
+        # Keep what a loaded checkpoint holds: the memos only speed up training.
+        model.table.clear_memos()
         return TrainResult(model=model, log_rows=log_rows, config=cfg)
     except (ConnectionError, EOFError):  # the worker's end of the pipe closed
         # (a reset, not an EOF, when the worker left a message unread)

@@ -197,6 +197,15 @@ def _toy_chain_set():
     )
 
 
+def _parse_error(edit) -> str:
+    """The ParseError message of the toy chain file after ``edit``."""
+    doc = json.loads(serialize_chain_set(_toy_chain_set()))
+    edit(doc)
+    with pytest.raises(ParseError) as exc:
+        parse_chain_file(json.dumps(doc))
+    return str(exc.value)
+
+
 class TestChainFiles:
     def test_serialize_parse_round_trip_bytes(self):
         cs = _toy_chain_set()
@@ -227,18 +236,22 @@ class TestChainFiles:
         (lambda d: d["chains"][1].update(source_provision=None),
          "key 'source_provision' must be str (field 'chains[1].source_provision')"),
         (lambda d: d.update(lexicon=["used violence"]),
-         "key 'lexicon' must be dict (field '$.lexicon')"),
+         "key 'lexicon' must be dict (field 'lexicon')"),
         (lambda d: d["lexicon"].update({"used violence": "punched the victim"}),
          "lexicon values must be lists of strings (field 'lexicon.used violence')"),
         (lambda d: d["lexicon"].update({"used violence": [True]}),
          "lexicon values must be lists of strings (field 'lexicon.used violence')"),
     ], ids=["label", "source_provision", "lexicon", "lexicon-value", "lexicon-item"])
     def test_optional_keys_follow_the_typed_key_rule(self, edit, message):
-        doc = json.loads(serialize_chain_set(_toy_chain_set()))
-        edit(doc)
-        with pytest.raises(ParseError) as exc:
-            parse_chain_file(json.dumps(doc))
-        assert str(exc.value) == message
+        assert _parse_error(edit) == message
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(charge=7), "key 'charge' must be str (field 'charge')"),
+        (lambda d: d.update(charge=" "), "charge must be non-empty (field 'charge')"),
+        (lambda d: d.update(chains={}), "key 'chains' must be list (field 'chains')"),
+    ], ids=["charge", "blank-charge", "chains"])
+    def test_top_level_fields_are_named_like_the_other_checks(self, edit, message):
+        assert _parse_error(edit) == message
 
     def test_optional_keys_may_be_left_out(self):
         doc = json.loads(serialize_chain_set(_toy_chain_set()))

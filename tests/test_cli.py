@@ -667,6 +667,20 @@ class TestCorruptCheckpoint:
         assert err.count("\n") == 1
         assert str(ckpt) in err and expected in err
 
+    def test_manifest_shape_that_disagrees_with_its_array_names_the_archive(
+            self, workspace, tmp_path, capsys):
+        def widen(m):
+            spec = next(p for p in m["params"] if p["name"] == "dec.lnf.g")
+            spec["shape"] = [spec["shape"][0] + 1]
+
+        ckpt = _corrupted_checkpoint(workspace["checkpoint"], tmp_path / "m.ckpt", edit=widen)
+        with zipfile.ZipFile(ckpt) as zf:
+            d = json.loads(zf.read("manifest.json"))["config"]["d"]
+        code, err = self._generate(workspace, ckpt, capsys)
+        assert code == 2
+        assert err.count("\n") == 1
+        assert f"{ckpt} array 'dec.lnf.g' has shape ({d},), manifest says [{d + 1}]" in err
+
     def test_more_layers_than_arrays(self, workspace, tmp_path, capsys):
         """A layer count no archive could hold is refused before the expected
         layout, which grows with it, is built."""

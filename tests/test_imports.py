@@ -46,11 +46,15 @@ def test_module_imports_only_names_it_uses(module):
 
 
 def test_import_loads_no_third_party_http_stack():
+    """Neither a third-party HTTP stack nor the standard library's: the
+    completion client imports its HTTP modules on its first request."""
     src = str(Path(lexchain.__file__).parent.parent)
-    probe = "import sys; sys.path.insert(0, sys.argv[1]); import lexchain; print('requests' in sys.modules)"
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import lexchain; "
+             "print(sorted(m for m in ('requests', 'urllib.request', 'http.client', 'ssl', "
+             "'email') if m in sys.modules))")
     result = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True,
                             check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"

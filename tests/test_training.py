@@ -407,6 +407,34 @@ class TestTrainLoop:
         for name, tensor in result.model.params.items():
             np.testing.assert_array_equal(tensor.data, loaded.params[name].data)
 
+    def test_returned_model_holds_what_a_loaded_one_holds(self, driving_corpus, library,
+                                                          monkeypatch, tmp_path):
+        """No per-tensor gradient outlives a step in either process (a
+        leftover one in the worker comes back as its share's error), the
+        returned model keeps no training memo, and it decodes what the same
+        model does after a save/load round trip."""
+        share = training_module._share
+
+        def checking(batch, scored, model, *rest):
+            terms = share(batch, scored, model, *rest)
+            left = sorted(name for name, t in model.params.items() if t.grad is not None)
+            if left:
+                raise AssertionError(f"process {os.getpid()} kept .grad on {left}")
+            return terms
+
+        monkeypatch.setattr(training_module, "_share", checking)
+        parts = split(driving_corpus, 0.8, seed=0)
+        ckpt = tmp_path / "model.ckpt"
+        result = train(parts, library, _tiny_cfg(epochs=2, batch_size=2), checkpoint_path=ckpt)
+        model = result.model
+        assert all(t.grad is None for t in model.params.values())
+        assert model.table._ids == {} and model.table.targets == {}
+        loaded, _ = load_checkpoint(ckpt)
+        chain_map = charge_chains(library, sorted({rec.charge for rec in parts.test}), True)
+        got, want = ([out.token_ids for out in decode_cases(m, parts.test, chain_map, max_len=40)]
+                     for m in (model, loaded))
+        assert parts.test and got == want
+
 
 class TestWorker:
     """Each step of two or more cases is split with one forked worker, which
