@@ -56,9 +56,9 @@ class Model:
         self.cfg = cfg
         self.table = table
         self.params = params
-        # Greedy decoding's draft pool: each run of the last 1 .. DRAFT_KEY
-        # ids it emitted -> the id it emitted next (most recent wins).  Cleared
-        # by a greedy decode that finds over DRAFT_POOL entries.  Never saved.
+        # Decoding's draft pool, either mode: each run of the last 1 .. DRAFT_KEY
+        # ids emitted -> the id emitted next (most recent wins).  Cleared by a
+        # decode that finds over DRAFT_POOL entries.  Never saved.
         self.drafts: dict[tuple[int, ...], int] = {}
 
     @property
@@ -353,16 +353,18 @@ class OpinionOutput:
 TOP_K = 10
 DRAFT_KEY = 6  # emitted ids a draft pool entry is keyed on, at most
 DRAFT_LEN = 12  # drafted ids verified per decoder call, at most
-DRAFT_POOL = 1 << 16  # draft pool entries past which a greedy decode first clears the pool
+DRAFT_POOL = 1 << 16  # draft pool entries past which a decode first clears the pool
 
 
 def _sample(logits: np.ndarray, rng: np.random.Generator) -> int:
-    """One draw from the renormalized top ``TOP_K`` logits."""
+    """One draw, by one uniform, from the renormalized top ``TOP_K`` logits."""
     order = np.argsort(-logits, kind="stable")[:TOP_K]
     z = logits[order] - logits[order].max()
     probs = np.exp(z)
     probs /= probs.sum()
-    return int(rng.choice(order, p=probs))
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(order[cdf.searchsorted(rng.random(), "right")])
 
 
 def _draft(drafts: Mapping[tuple[int, ...], int], token_ids: list[int], room: int) -> list[int]:
@@ -399,13 +401,13 @@ def generate(model: Model, combined: Tensor, n_chain_rows: int, max_len: int = 9
     renormalized top ``TOP_K`` logits using the given seed.  Decoding stops at
     ``<eos>``, at ``max_len`` tokens, or when the context fills up.
 
-    Greedy decoding also feeds, in the same call, up to ``DRAFT_LEN`` ids
-    drafted from ``model.drafts`` (which it fills with every token it emits),
-    each under the longest run of the ids before it that the pool holds.
-    Row ``i`` of the call then gives the logits after the first ``i`` drafted
-    ids: each drafted id that equals its row's argmax is accepted, the first
-    row that disagrees gives the next token, and the caches drop the rows
-    after it.  Every token is thus still the argmax of its own prefix.
+    Each call also feeds up to ``DRAFT_LEN`` ids drafted from ``model.drafts``
+    (which decoding fills with every token it emits), each under the longest
+    run of the ids before it that the pool holds.  Row ``i`` then gives the
+    logits after the first ``i`` drafted ids: each drafted id that equals its
+    row's token (the argmax, or a draw of one uniform) is accepted, and the
+    first row that differs gives the next token; no row after it is drawn
+    for or kept in the caches.  So tokens and draws are those of one-row steps.
     """
     if mode not in ("greedy", "top-k"):
         raise ContractError(f"unknown decode mode {mode!r}")
@@ -414,8 +416,7 @@ def generate(model: Model, combined: Tensor, n_chain_rows: int, max_len: int = 9
     cfg = model.cfg
     params = model.params
     eos = model.table.vocab["<eos>"]
-    greedy = mode == "greedy"
-    if greedy and len(model.drafts) > DRAFT_POOL:
+    if len(model.drafts) > DRAFT_POOL:
         model.drafts.clear()
     rng = np.random.default_rng(seed)
     prefix_len = combined.shape[0]
@@ -433,19 +434,18 @@ def generate(model: Model, combined: Tensor, n_chain_rows: int, max_len: int = 9
                 cache.used -= len(draft) - accepted
             # The call's last row gives token len(token_ids) + len(draft), below limit.
             room = min(DRAFT_LEN, limit - len(token_ids) - 1)
-            draft = _draft(model.drafts, token_ids, room) if greedy else []
+            draft = _draft(model.drafts, token_ids, room)
             ids = [token_ids[-1], *draft]
             position = prefix_len + len(token_ids) - 1
             rows = params["embed"].data[ids] + params["pos"].data[position:position + len(ids)]
             logits = decoder_forward(Tensor(rows), params, cfg, caches=caches).data
-        # Top-k feeds one row per call, so it draws once per call.
-        picks = logits.argmax(axis=1).tolist() if greedy else [_sample(logits[0], rng)]
+        picks = (logits.argmax(axis=1).tolist() if mode == "greedy"
+                 else (_sample(row, rng) for row in logits))  # drawn as rows are read
         for accepted, next_id in enumerate(picks):
             if next_id == eos:
                 limit = len(token_ids)  # ends the outer loop
                 break
-            if greedy:
-                _remember(model.drafts, token_ids, next_id)
+            _remember(model.drafts, token_ids, next_id)
             token_ids.append(next_id)
             if accepted == len(draft) or next_id != draft[accepted]:
                 break

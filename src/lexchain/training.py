@@ -8,8 +8,6 @@ import csv
 import ctypes
 import math
 import mmap
-import multiprocessing
-import signal
 from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -263,6 +261,7 @@ class _Worker:
     the Adam step (once the step is finite), and the worker's update done."""
 
     def __init__(self, arena: _Arena, model: Model, pairs: list[tuple], cfg: TrainConfig):
+        import multiprocessing  # here, so that importing the package loads none of it
         self.arena = arena
         context = multiprocessing.get_context("fork")
         self.conn, worker_end = context.Pipe()
@@ -291,6 +290,7 @@ def _serve(conn, main_end, arena: _Arena, model: Model, pairs: list[tuple],
            cfg: TrainConfig) -> None:
     """The worker's loop until the pipe closes; a share's error (a too-long
     case, say) is the reply.  A caller may wrap :func:`adam_step`, so not it."""
+    import signal
     main_end.close()  # so that the main process's exit closes the pipe
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process decides when to stop
     rng = np.random.default_rng(0)  # each job sets its state

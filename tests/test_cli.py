@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import lexchain
+from lexchain import model as model_module
 from lexchain.chains import (
     SentencingRange,
     chain_from_text,
@@ -402,6 +403,20 @@ class TestGenerate:
                      "--corpus", str(workspace["corpus"]), "--no-chains",
                      "--mode", "top-k", "--seed", "9", "--max-len", "10"]) == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 5
+
+    def test_top_k_opinions_equal_a_one_row_decode(self, workspace, tmp_path, monkeypatch):
+        """Drafting from the pool changes no byte of the sampled opinions: they
+        equal those of a decode that feeds one row per token."""
+        outputs = []
+        for draft_len in (model_module.DRAFT_LEN, 0):
+            monkeypatch.setattr(model_module, "DRAFT_LEN", draft_len)
+            out = tmp_path / f"opinions{draft_len}.jsonl"
+            assert main(["generate", "--checkpoint", str(workspace["checkpoint"]),
+                         "--corpus", str(workspace["corpus"]),
+                         "--chains", str(workspace["chains"]), "--mode", "top-k",
+                         "--seed", "5", "--max-len", "40", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_chain_free_checkpoint_decodes_chain_free(self, workspace, tmp_path, capsys):
         """A checkpoint trained with --no-chains never reads the chain library,

@@ -2,9 +2,10 @@
 a deletion cannot leave a dead import behind.  ``__init__.py`` is left out,
 because its imports are the package's public names.
 
-Also: ``import lexchain`` loads no HTTP stack, and every package name the
-benchmark scripts under ``bench/`` use exists and takes the arguments they
-pass, so a change to the package cannot silently break the benchmark."""
+Also: ``import lexchain`` loads no HTTP stack and no ``multiprocessing``,
+and every package name the benchmark scripts under ``bench/`` use exists and
+takes the arguments they pass, so a change to the package cannot silently
+break the benchmark."""
 
 import ast
 import importlib
@@ -47,11 +48,13 @@ def test_module_imports_only_names_it_uses(module):
 
 def test_import_loads_no_third_party_http_stack():
     """Neither a third-party HTTP stack nor the standard library's: the
-    completion client imports its HTTP modules on its first request."""
+    completion client imports its HTTP modules on its first request.  Nor
+    ``multiprocessing`` and the socket modules it pulls in: only the train
+    step's worker imports it, when it starts."""
     src = str(Path(lexchain.__file__).parent.parent)
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import lexchain; "
              "print(sorted(m for m in ('requests', 'urllib.request', 'http.client', 'ssl', "
-             "'email') if m in sys.modules))")
+             "'email', 'multiprocessing', 'socket', 'selectors') if m in sys.modules))")
     result = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True,
                             check=True)
     assert result.stdout.strip() == "[]"

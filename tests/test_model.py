@@ -6,6 +6,7 @@ import functools
 import io
 import json
 import zipfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from lexchain.model import (
     DRAFT_KEY,
     DRAFT_LEN,
     MASK_VALUE,
+    TOP_K,
     ModelConfig,
     add_positions,
     build_model,
@@ -39,6 +41,7 @@ from lexchain.model import (
     joint_loss,
     mark_sentencing_span,
     param_shapes,
+    _sample,
 )
 from lexchain.tensor import (KVCache, Tape, Tensor, backward, concat, gather_rows, layer_norm,
                              log_likelihood_rows, tsum)
@@ -813,6 +816,25 @@ class TestGeneration:
         with pytest.raises(ContractError):
             generate(model, combined, 0, mode="beam")
 
+    def test_top_k_draws_as_rng_choice_did(self):
+        """``_sample`` looks its one uniform up in the cumulative distribution
+        itself; it gives ``rng.choice``'s id and leaves the generator in the
+        same state, over logit vectors with ties, huge gaps and fewer than
+        ``TOP_K`` entries."""
+        source = np.random.default_rng(2024)
+        for seed in range(400):
+            logits = source.normal(0.0, source.choice([0.1, 1.0, 10.0, 300.0]),
+                                   int(source.integers(1, 3 * TOP_K)))
+            if seed % 4 == 0:
+                logits = np.round(logits)  # ties
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(5):
+                order = np.argsort(-logits, kind="stable")[:TOP_K]
+                probs = np.exp(logits[order] - logits[order].max())
+                probs /= probs.sum()
+                assert _sample(logits, ours) == int(theirs.choice(order, p=probs))
+                assert ours.bit_generator.state == theirs.bit_generator.state
+
     def test_top_k_same_seed_reproduces(self):
         model, chains, cases = _fixture()
         a = decode_case(model, cases[0], chains, mode="top-k", seed=11)
@@ -908,22 +930,36 @@ def _count_calls(monkeypatch):
     return calls
 
 
+TOP_K_SEEDS = (0, 1, 2, 11)
+
+
+def _one_row_decode(model, case, chains, **kwargs):
+    """A decode that drafts nothing: one decoder row per token."""
+    with mock.patch.object(model_module, "DRAFT_LEN", 0):
+        return decode_case(model, case, chains, **kwargs).token_ids
+
+
 @functools.cache
 def _cold_decodes():
-    """The trained fixture, and each case's tokens decoded from an empty pool
-    at max_len 1, 6 and 30."""
+    """The trained fixture, and each case's tokens at max_len 1, 6 and 30:
+    greedy decoded from an empty pool, top-k at each of ``TOP_K_SEEDS`` one
+    row per token."""
     model, chains, cases = _trained_fixture()
     cold = {}
     for case in cases:
         for max_len in (1, 6, 30):
             model.drafts.clear()
-            cold[case.case_id, max_len] = decode_case(model, case, chains, max_len=max_len).token_ids
+            cold["greedy", 0, case.case_id, max_len] = decode_case(
+                model, case, chains, max_len=max_len).token_ids
+            for seed in TOP_K_SEEDS:
+                cold["top-k", seed, case.case_id, max_len] = _one_row_decode(
+                    model, case, chains, max_len=max_len, mode="top-k", seed=seed)
     return model, chains, cases, cold
 
 
 class TestDrafting:
-    """Greedy decoding verifies tokens drafted from ``model.drafts``; the
-    tokens must be those of one-row steps whatever the pool holds."""
+    """Greedy and top-k decoding verify tokens drafted from ``model.drafts``;
+    the tokens must be those of one-row steps whatever the pool holds."""
 
     @pytest.mark.parametrize("trained", [False, True])
     def test_cold_warm_and_reversed_decodes_agree(self, trained):
@@ -1033,19 +1069,23 @@ class TestDrafting:
     @given(data=st.data())
     def test_any_pool_leaves_the_tokens_alone(self, data):
         """Drafts are only proposals: whatever ids the pool maps to whatever
-        ids, greedy tokens are those of a cold decode."""
+        ids, greedy tokens are those of a cold decode, and top-k tokens those
+        of a one-row decode with the same seed."""
         model, chains, cases, cold = _cold_decodes()
+        mode = data.draw(st.sampled_from(["greedy", "top-k"]))
+        seed = data.draw(st.sampled_from(TOP_K_SEEDS)) if mode == "top-k" else 0
         eos = model.table.vocab["<eos>"]
-        seen = sorted({eos, model.vocab_size - 1, *cold[cases[0].case_id, 30],
-                       *cold[cases[1].case_id, 30]})
+        seen = sorted({eos, model.vocab_size - 1, *cold[mode, seed, cases[0].case_id, 30],
+                       *cold[mode, seed, cases[1].case_id, 30]})
         ids = st.one_of(st.sampled_from(seen), st.integers(0, model.vocab_size - 1))
         pool = data.draw(st.dictionaries(
             st.lists(ids, min_size=1, max_size=DRAFT_KEY).map(tuple), ids, max_size=60))
         for case in cases:
             for max_len in (1, 6, 30):
                 model.drafts = dict(pool)
-                tokens = decode_case(model, case, chains, max_len=max_len).token_ids
-                assert tokens == cold[case.case_id, max_len]
+                tokens = decode_case(model, case, chains, max_len=max_len, mode=mode,
+                                     seed=seed).token_ids
+                assert tokens == cold[mode, seed, case.case_id, max_len]
 
     def test_eos_inside_a_draft_stops_as_cold(self):
         model, chains, cases = _trained_fixture()
@@ -1075,15 +1115,19 @@ class TestDrafting:
         _loop_pool(model, cold)
         assert generate(model, combined, 0, max_len=1000).token_ids == cold
 
-    def test_top_k_neither_reads_nor_fills_the_pool(self):
+    def test_top_k_fills_the_pool_and_a_warm_pool_keeps_its_tokens(self, monkeypatch):
+        """Top-k stores every token it emits, like greedy; a decode from a
+        cold and from a warm pool both emit a one-row decode's tokens, the
+        warm one in fewer decoder calls than tokens."""
         model, chains, cases = _trained_fixture()
+        one_row = _one_row_decode(model, cases[0], chains, mode="top-k", seed=11)
         model.drafts.clear()
-        cold = decode_case(model, cases[0], chains, mode="top-k", seed=11).token_ids
-        assert model.drafts == {}
+        assert decode_case(model, cases[0], chains, mode="top-k", seed=11).token_ids == one_row
+        assert model.drafts
         decode_case(model, cases[1], chains, max_len=30)
-        pool = dict(model.drafts)
-        assert decode_case(model, cases[0], chains, mode="top-k", seed=11).token_ids == cold
-        assert model.drafts == pool
+        calls = _count_calls(monkeypatch)
+        assert decode_case(model, cases[0], chains, mode="top-k", seed=11).token_ids == one_row
+        assert len(calls) < len(one_row)
 
 
 class TestCheckpoint:
